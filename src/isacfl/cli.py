@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import shutil
 import sys
@@ -81,61 +82,29 @@ def read_config_file(path: Path) -> dict[str, str]:
     return out
 
 
-_RUN_OPTION_TYPES = {
-    "strategy": str,
-    "rounds": int,
-    "local_epochs": int,
-    "batch_size": int,
-    "lr": float,
-    "kappa": float,
-    "eval_batch": int,
-    "pi_fixed": float,
-    "lambda_prox": float,
-    "inner_steps": int,
-    "hidden": int,
-    "pi_eval_cap": int,
-    "seed": int,
-    "threads": int,
-    "checkpoint_every": int,
-    "dataset": str,
-    "out": str,
-}
+# Run settings: every scalar RunConfig field (the type of its default parses
+# flag and config-file text; RunConfig holds the defaults), plus the three the
+# CLI alone uses.
+_RUN_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(RunConfig) if isinstance(f.default, (str, int, float))}
+_CLI_SETTINGS = {"checkpoint_every": (int, 10), "dataset": (str, None), "out": (str, None)}
+_CASTERS = {**_RUN_FIELDS, **{key: caster for key, (caster, _) in _CLI_SETTINGS.items()}}
 
 
 def _merge_run_settings(args) -> dict:
-    """defaults < desk preset < config file < explicit flags."""
-    settings: dict = {
-        "strategy": "em_pfl",
-        "rounds": 100,
-        "local_epochs": 5,
-        "batch_size": 64,
-        "lr": 1e-4,
-        "kappa": 1.0,
-        "eval_batch": 64,
-        "pi_fixed": 0.5,
-        "lambda_prox": 15.0,
-        "inner_steps": 5,
-        "hidden": 256,
-        "pi_eval_cap": 1024,
-        "seed": 0,
-        "threads": 1,
-        "checkpoint_every": 10,
-        "dataset": None,
-        "out": None,
-    }
+    """RunConfig defaults < desk preset < config file < explicit flags."""
+    settings = {key: default for key, (_, default) in _CLI_SETTINGS.items()}
     if args.preset == "desk":
-        for key in ("rounds", "local_epochs", "batch_size", "hidden", "lr", "kappa"):
-            settings[key] = DESK_PRESET[key]
+        settings.update((key, value) for key, value in DESK_PRESET.items() if key in _RUN_FIELDS)
     if args.config is not None:
         for key, raw in read_config_file(Path(args.config)).items():
-            if key not in _RUN_OPTION_TYPES:
+            if key not in _CASTERS:
                 raise ConfigError(f"unknown config key {key!r}")
-            caster = _RUN_OPTION_TYPES[key]
+            caster = _CASTERS[key]
             try:
                 settings[key] = caster(raw)
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {caster.__name__}") from exc
-    for key in _RUN_OPTION_TYPES:
+    for key in _CASTERS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
@@ -144,6 +113,13 @@ def _merge_run_settings(args) -> dict:
     if settings["out"] is None:
         raise ConfigError("no output directory given (flag --out or config key 'out')")
     return settings
+
+
+def _run_config(settings: dict) -> RunConfig:
+    try:
+        return RunConfig(**{key: settings[key] for key in _RUN_FIELDS if key in settings})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -257,28 +233,13 @@ def _gen_data_hint(dataset_dir) -> str:
 
 def _cmd_run(args) -> int:
     settings = _merge_run_settings(args)
+    run_cfg = _run_config(settings)
     dataset_dir = Path(settings["dataset"])
     if not dataset_dir.is_dir() or not list(dataset_dir.glob("bs*.ds")):
         raise DatasetFormatError(_gen_data_hint(dataset_dir))
     datasets = read_dataset(dataset_dir)
     scn = datasets[0].scenario
 
-    run_cfg = RunConfig(
-        strategy=settings["strategy"],
-        rounds=settings["rounds"],
-        local_epochs=settings["local_epochs"],
-        batch_size=settings["batch_size"],
-        lr=settings["lr"],
-        kappa=settings["kappa"],
-        eval_batch=settings["eval_batch"],
-        pi_fixed=settings["pi_fixed"],
-        lambda_prox=settings["lambda_prox"],
-        inner_steps=settings["inner_steps"],
-        hidden=settings["hidden"],
-        pi_eval_cap=settings["pi_eval_cap"],
-        seed=settings["seed"],
-        client_threads=settings["threads"],
-    )
     out_dir = Path(settings["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "metrics.csv"
@@ -435,20 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="output directory for metrics, summary, checkpoints")
     run.add_argument("--config", default=None, help="key = value file; flags override it")
     run.add_argument("--preset", choices=("desk",), default=None)
-    run.add_argument("--strategy", choices=STRATEGIES, default=None)
-    run.add_argument("--rounds", type=int, default=None)
-    run.add_argument("--local-epochs", dest="local_epochs", type=int, default=None)
-    run.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    run.add_argument("--lr", type=float, default=None)
-    run.add_argument("--kappa", type=float, default=None)
-    run.add_argument("--eval-batch", dest="eval_batch", type=int, default=None)
-    run.add_argument("--pi-fixed", dest="pi_fixed", type=float, default=None)
-    run.add_argument("--lambda-prox", dest="lambda_prox", type=float, default=None)
-    run.add_argument("--inner-steps", dest="inner_steps", type=int, default=None)
-    run.add_argument("--hidden", type=int, default=None)
-    run.add_argument("--pi-eval-cap", dest="pi_eval_cap", type=int, default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--threads", type=int, default=None, help="client-parallel threads (results identical)")
+    for key, caster in _RUN_FIELDS.items():
+        choices = tuple(STRATEGIES) if key == "strategy" else None
+        run.add_argument("--" + key.replace("_", "-"), dest=key, type=caster, choices=choices, default=None)
     run.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None, help="0 = final round only")
     run.add_argument("--resume", action="store_true", help="continue from the latest checkpoint in --out")
     run.add_argument("--force", action="store_true", help="overwrite existing metrics in --out")

@@ -8,14 +8,16 @@ are exactly representable in float32, so write/read round-trips are bitwise.
 
 from __future__ import annotations
 
-import json
-import struct
+import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from isacfl.channel import RngStream, sample_rcs, sample_rician
+# DatasetFormatError and DatasetVersionError are re-exported: callers catch them from here.
+from isacfl.container import ContainerReader, DatasetFormatError, DatasetVersionError, decoding, write_container
 from isacfl.metrics import ChannelSample, Scenario
 
 DATASET_MAGIC = "isacfl-dataset"
@@ -34,14 +36,6 @@ _DRAW_CROSS = 1000
 _DRAW_THETA = 2000
 _DRAW_BETA = 2001
 _DRAW_RADAR = 3000
-
-
-class DatasetFormatError(ValueError):
-    """The file is not a recognizable dataset."""
-
-
-class DatasetVersionError(DatasetFormatError):
-    """The file was written by an incompatible format version."""
 
 
 def build_scenario(variant: str, n_t: int = 8, n_r: int = 8, **overrides) -> Scenario:
@@ -63,11 +57,6 @@ def build_scenario(variant: str, n_t: int = 8, n_r: int = 8, **overrides) -> Sce
         rician_k=3.0,
         **overrides,
     )
-
-
-def build_paper_scenario(variant: str) -> Scenario:
-    """Full-scale variant: 8x8 antennas, three cells."""
-    return build_scenario(variant, n_t=8, n_r=8)
 
 
 @dataclass
@@ -166,70 +155,19 @@ def generate_dataset(scn: Scenario, n_samples: int, seed: int) -> list[BsDataset
 
 
 # ---------------------------------------------------------------------------
-# Persistence: JSON header + length-prefixed little-endian float32 arrays,
+# Persistence: the shared container (isacfl.container) with float32 arrays,
 # complex values stored as interleaved re/im pairs.
 
 
-def _scenario_to_dict(scn: Scenario) -> dict:
-    return {
-        "n_cells": scn.n_cells,
-        "n_t": scn.n_t,
-        "n_r": scn.n_r,
-        "k_per_cell": list(scn.k_per_cell),
-        "rho_per_cell": list(scn.rho_per_cell),
-        "sigma_c_sq": scn.sigma_c_sq,
-        "sigma_s_sq": scn.sigma_s_sq,
-        "p_t": scn.p_t,
-        "alpha_s": scn.alpha_s,
-        "rician_k": scn.rician_k,
-        "element_spacing": scn.element_spacing,
-        "cross_power_ratio": scn.cross_power_ratio,
-    }
-
-
 def _scenario_from_dict(d: dict) -> Scenario:
-    return Scenario(
-        n_cells=d["n_cells"],
-        n_t=d["n_t"],
-        n_r=d["n_r"],
-        k_per_cell=tuple(d["k_per_cell"]),
-        rho_per_cell=tuple(d["rho_per_cell"]),
-        sigma_c_sq=d["sigma_c_sq"],
-        sigma_s_sq=d["sigma_s_sq"],
-        p_t=d["p_t"],
-        alpha_s=d["alpha_s"],
-        rician_k=d["rician_k"],
-        element_spacing=d["element_spacing"],
-        cross_power_ratio=d["cross_power_ratio"],
-    )
+    return Scenario(**{**d, "k_per_cell": tuple(d["k_per_cell"]), "rho_per_cell": tuple(d["rho_per_cell"])})
 
 
-def _write_f32(fh, arr: np.ndarray) -> None:
+def _as_f32(arr: np.ndarray) -> np.ndarray:
+    """Complex arrays as interleaved float32 re/im pairs; real ones as they are."""
     if np.iscomplexobj(arr):
-        flat = np.ascontiguousarray(arr.astype(np.complex64)).view(np.float32).ravel()
-    else:
-        flat = np.ascontiguousarray(arr, dtype=np.float32).ravel()
-    fh.write(struct.pack("<Q", flat.size))
-    fh.write(flat.astype("<f4").tobytes())
-
-
-def _read_f32(fh, complex_: bool, shape: tuple[int, ...]) -> np.ndarray:
-    raw = fh.read(8)
-    if len(raw) != 8:
-        raise DatasetFormatError("truncated dataset file (missing array length)")
-    (count,) = struct.unpack("<Q", raw)
-    buf = fh.read(count * 4)
-    if len(buf) != count * 4:
-        raise DatasetFormatError("truncated dataset file (short array body)")
-    flat = np.frombuffer(buf, dtype="<f4")
-    if complex_:
-        arr = flat.view(np.complex64).astype(np.complex128)
-    else:
-        arr = flat.astype(np.float64)
-    try:
-        return arr.reshape(shape)
-    except ValueError as exc:
-        raise DatasetFormatError(f"array size {arr.size} does not match declared shape {shape}") from exc
+        return np.ascontiguousarray(arr.astype(np.complex64)).view(np.float32)
+    return arr
 
 
 def write_bs_dataset(path, ds: BsDataset) -> None:
@@ -241,54 +179,46 @@ def write_bs_dataset(path, ds: BsDataset) -> None:
         "n_samples": ds.n_samples,
         "n_train": ds.n_train,
         "k_m": ds.scenario.k_per_cell[ds.cell],
-        "scenario": _scenario_to_dict(ds.scenario),
+        "scenario": dataclasses.asdict(ds.scenario),
     }
-    raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(raw)))
-        fh.write(raw)
-        _write_f32(fh, ds.comm_direct)
-        for i in sorted(ds.comm_cross):
-            _write_f32(fh, ds.comm_cross[i])
-        _write_f32(fh, ds.target_theta)
-        _write_f32(fh, ds.target_beta)
-        for i in sorted(ds.radar_cross):
-            _write_f32(fh, ds.radar_cross[i])
+    arrays = [
+        ds.comm_direct,
+        *(ds.comm_cross[i] for i in sorted(ds.comm_cross)),
+        ds.target_theta,
+        ds.target_beta,
+        *(ds.radar_cross[i] for i in sorted(ds.radar_cross)),
+    ]
+    write_container(path, header, (_as_f32(a) for a in arrays), "<f4")
+
+
+def _read_f32(reader: ContainerReader, complex_: bool, shape: tuple[int, ...]) -> np.ndarray:
+    flat = reader.array(math.prod(shape) * (2 if complex_ else 1))
+    arr = flat.view(np.complex64).astype(np.complex128) if complex_ else flat.astype(np.float64)
+    return arr.reshape(shape)
 
 
 def read_bs_dataset(path) -> BsDataset:
-    with open(path, "rb") as fh:
-        raw = fh.read(8)
-        if len(raw) != 8:
-            raise DatasetFormatError(f"{path}: file too short to hold a header")
-        (hlen,) = struct.unpack("<Q", raw)
-        if hlen > 1 << 20:
-            raise DatasetFormatError(f"{path}: implausible header length {hlen}")
-        try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DatasetFormatError(f"{path}: corrupted header") from exc
-        if header.get("format") != DATASET_MAGIC:
-            raise DatasetFormatError(f"{path}: not a dataset file")
-        if header.get("version") != DATASET_VERSION:
-            raise DatasetVersionError(
-                f"{path}: format version {header.get('version')} not supported (expected {DATASET_VERSION})"
-            )
+    with open(path, "rb") as fh, decoding(path):
+        reader = ContainerReader(fh, path, DATASET_MAGIC, DATASET_VERSION, "<f4")
+        header = reader.header
         scn = _scenario_from_dict(header["scenario"])
-        m = header["cell"]
-        n = header["n_samples"]
+        m, n, seed, n_train = header["cell"], header["n_samples"], header["seed"], header["n_train"]
+        if not 0 <= m < scn.n_cells:
+            raise DatasetFormatError(f"{path}: cell {m} outside 0..{scn.n_cells - 1}")
+        if not 0 < n_train < n:
+            raise DatasetFormatError(f"{path}: n_train {n_train} does not split {n} samples")
         k_m = scn.k_per_cell[m]
         others = [i for i in range(scn.n_cells) if i != m]
-        comm_direct = _read_f32(fh, True, (n, k_m, scn.n_t))
-        comm_cross = {i: _read_f32(fh, True, (n, k_m, scn.n_t)) for i in others}
-        theta = _read_f32(fh, False, (n,))
-        beta = _read_f32(fh, True, (n,))
-        radar_cross = {i: _read_f32(fh, True, (n, scn.n_r, scn.n_t)) for i in others}
+        comm_direct = _read_f32(reader, True, (n, k_m, scn.n_t))
+        comm_cross = {i: _read_f32(reader, True, (n, k_m, scn.n_t)) for i in others}
+        theta = _read_f32(reader, False, (n,))
+        beta = _read_f32(reader, True, (n,))
+        radar_cross = {i: _read_f32(reader, True, (n, scn.n_r, scn.n_t)) for i in others}
     return BsDataset(
         scenario=scn,
         cell=m,
-        seed=header["seed"],
-        n_train=header["n_train"],
+        seed=seed,
+        n_train=n_train,
         comm_direct=comm_direct,
         comm_cross=comm_cross,
         radar_cross=radar_cross,
@@ -317,7 +247,9 @@ def read_dataset(directory) -> list[BsDataset]:
         raise DatasetFormatError(f"no bs*.ds files under {directory}")
     datasets = [read_bs_dataset(p) for p in paths]
     datasets.sort(key=lambda d: d.cell)
-    scn = datasets[0].scenario
-    if [d.cell for d in datasets] != list(range(scn.n_cells)):
-        raise DatasetFormatError(f"{directory}: expected one file per cell 0..{scn.n_cells - 1}")
+    first = datasets[0]
+    if any((d.scenario, d.seed) != (first.scenario, first.seed) for d in datasets):
+        raise DatasetFormatError(f"{directory}: files come from different scenarios or seeds")
+    if [d.cell for d in datasets] != list(range(first.scenario.n_cells)):
+        raise DatasetFormatError(f"{directory}: expected one file per cell 0..{first.scenario.n_cells - 1}")
     return datasets

@@ -13,19 +13,20 @@ One simulated communication round follows this order:
    strategies, the fresh global model for traditional federated averaging,
    and aggregated-shared-plus-local-head for FedPer.
 
+Each strategy fills four choices into this round; ``STRATEGIES`` holds them.
+FedAvg is FedPer with every layer owned by the server, so one merge (take the
+server-owned layers from one model, the rest from another) serves the client
+update, the server update and the deployed model of both.
+
 Inter-cell interference is frozen at round boundaries: each BS publishes the
 beamformers its current model produces on its evaluation slice, and peers pair
-those with their own samples by index. Clients are independent between the
-broadcast and the aggregation barrier, so they may run on any number of
-threads without changing a single bit of the result.
+those with their own samples by index.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,7 +51,36 @@ from isacfl.nn import (
     save_params,
 )
 
-STRATEGIES = ("em_pfl", "fixed_pfl", "fedavg", "fedper", "pfedme", "local_only")
+
+@dataclass(frozen=True)
+class Strategy:
+    """The choices that turn the shared round into one named strategy.
+
+    ``mix`` is how a BS takes in the broadcast model: "posterior" mixes with
+    the EM weight pi, "fixed" with ``RunConfig.pi_fixed``, "take" copies the
+    server-owned layers (reported as pi = 1), and "keep" leaves the local
+    model alone (pi = 0). ``proximal`` adds pFedMe's pull toward the global
+    model, with ``inner_steps`` steps per batch, to the local objective.
+    ``server_owns_all`` gives the server every layer; otherwise it owns only
+    ``RunConfig.fedper_shared`` and each BS keeps the rest. ``deploy_merged``
+    deploys the server-owned layers of the global model over the BS's own
+    model; otherwise the BS deploys its own model.
+    """
+
+    mix: str
+    proximal: bool = False
+    server_owns_all: bool = True
+    deploy_merged: bool = False
+
+
+STRATEGIES = {
+    "em_pfl": Strategy(mix="posterior"),
+    "fixed_pfl": Strategy(mix="fixed"),
+    "fedavg": Strategy(mix="take", deploy_merged=True),
+    "fedper": Strategy(mix="take", server_owns_all=False, deploy_merged=True),
+    "pfedme": Strategy(mix="keep", proximal=True),
+    "local_only": Strategy(mix="keep"),
+}
 
 # rng sub-domains of the master stream
 _DOMAIN_INIT = 0
@@ -181,11 +211,10 @@ class RunConfig:
     hidden: int = 256
     pi_eval_cap: int = 1024
     seed: int = 0
-    client_threads: int = 1
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
+            raise ValueError(f"unknown strategy {self.strategy!r}; choose from {tuple(STRATEGIES)}")
         if self.rounds < 1 or self.local_epochs < 1 or self.batch_size < 1:
             raise ValueError("rounds, local_epochs, and batch_size must be >= 1")
         if not self.lr > 0:
@@ -199,8 +228,6 @@ class RunConfig:
         unknown = set(self.fedper_shared) - set(layer_dims(NetConfig(1, 1, 1)))
         if unknown:
             raise ValueError(f"unknown fedper layers: {sorted(unknown)}")
-        if self.client_threads < 1:
-            raise ValueError("client_threads must be >= 1")
 
     @property
     def em(self) -> EmConfig:
@@ -309,17 +336,25 @@ class FederatedSimulation:
             )
         self.round_index = 0
         self.history: list[RoundMetrics] = []
-        self._shared_mask = self._build_shared_mask(run.fedper_shared)
+        self.spec = STRATEGIES[run.strategy]
+        owned = tuple(layer_dims(self.net)) if self.spec.server_owns_all else run.fedper_shared
+        self._server_mask = self._build_layer_mask(owned)
 
-    def _build_shared_mask(self, shared_layers: tuple[str, ...]) -> np.ndarray:
+    def _build_layer_mask(self, layers: tuple[str, ...]) -> np.ndarray:
         mask = np.zeros(param_count(self.net), dtype=bool)
         offset = 0
         for name, (fi, fo) in layer_dims(self.net).items():
             size = fi * fo + fo
-            if name in shared_layers:
+            if name in layers:
                 mask[offset : offset + size] = True
             offset += size
         return mask
+
+    def _take_server_layers(self, base: ModelParams, source: ModelParams) -> ModelParams:
+        """``base`` with its server-owned layers replaced by those of ``source``."""
+        merged = base.copy()
+        merged.data[self._server_mask] = source.data[self._server_mask]
+        return merged
 
     def _eval_pools(self, params_by_client: list[ModelParams]) -> dict[int, np.ndarray]:
         """Each BS's beamformers on its evaluation slice (the published pool)."""
@@ -336,72 +371,42 @@ class FederatedSimulation:
 
     def _client_round(self, client: ClientState, t: int, pools: dict[int, np.ndarray]) -> None:
         """Steps 2-4 for one client; independent of every other client."""
-        run = self.run
+        run, spec = self.run, self.spec
         peers = self._pools_excluding(pools, client.m)
-        strategy = run.strategy
-        if strategy == "em_pfl":
-            pi = compute_pi(
-                client,
-                self.global_params,
-                run.em,
-                rng=self.master.child(_DOMAIN_PI).child(t).child(client.m),
-                peer_pools=peers,
-                eval_cap=run.pi_eval_cap,
-            )
-            client.params = mix_models(client.params, self.global_params, pi)
-        elif strategy == "fixed_pfl":
-            pi = run.pi_fixed
-            client.params = mix_models(client.params, self.global_params, pi)
-        elif strategy == "fedavg":
-            pi = 1.0
-            client.params = self.global_params.copy()
-        elif strategy == "fedper":
-            pi = 1.0
-            merged = client.params.copy()
-            merged.data[self._shared_mask] = self.global_params.data[self._shared_mask]
-            client.params = merged
-        elif strategy == "local_only":
-            pi = 0.0
-        elif strategy == "pfedme":
-            pi = 0.0  # personalization via the proximal pull, not mixing
-        else:  # pragma: no cover - guarded by RunConfig
-            raise ValueError(strategy)
-        client.pi = pi
-
-        train_rng = self.master.child(_DOMAIN_TRAIN).child(t).child(client.m)
-        if strategy == "pfedme":
-            local_train(
-                client,
-                run.local_epochs,
-                run.batch_size,
-                peers,
-                train_rng,
-                prox_ref=self.global_params,
-                lambda_prox=run.lambda_prox,
-                inner_steps=run.inner_steps,
-            )
+        if spec.mix == "take":
+            client.pi = 1.0
+            client.params = self._take_server_layers(client.params, self.global_params)
+        elif spec.mix == "keep":
+            client.pi = 0.0
         else:
-            local_train(client, run.local_epochs, run.batch_size, peers, train_rng)
+            if spec.mix == "posterior":
+                pi_rng = self.master.child(_DOMAIN_PI).child(t).child(client.m)
+                client.pi = compute_pi(client, self.global_params, run.em, pi_rng, peers, run.pi_eval_cap)
+            else:
+                client.pi = run.pi_fixed
+            client.params = mix_models(client.params, self.global_params, client.pi)
+
+        local_train(
+            client,
+            run.local_epochs,
+            run.batch_size,
+            peers,
+            self.master.child(_DOMAIN_TRAIN).child(t).child(client.m),
+            prox_ref=self.global_params if spec.proximal else None,
+            lambda_prox=run.lambda_prox,
+            inner_steps=run.inner_steps if spec.proximal else 1,
+        )
 
     def run_round(self) -> RoundMetrics:
         """One full communication round; returns the recorded metrics."""
         t = self.round_index
         started = time.perf_counter()
         pools = self._eval_pools([c.params for c in self.clients])
-
-        if self.run.client_threads > 1:
-            with ThreadPoolExecutor(max_workers=self.run.client_threads) as pool:
-                list(pool.map(lambda c: self._client_round(c, t, pools), self.clients))
-        else:
-            for client in self.clients:
-                self._client_round(client, t, pools)
+        for client in self.clients:
+            self._client_round(client, t, pools)
 
         new_global = fedavg_aggregate([c.params for c in self.clients], [c.data.n_train for c in self.clients])
-        if self.run.strategy == "fedper":
-            merged = self.global_params.copy()
-            merged.data[self._shared_mask] = new_global.data[self._shared_mask]
-            new_global = merged
-        self.global_params = new_global
+        self.global_params = self._take_server_layers(self.global_params, new_global)
 
         metrics = self._evaluate_round(t)
         metrics.duration_sec = time.perf_counter() - started
@@ -411,18 +416,9 @@ class FederatedSimulation:
         return metrics
 
     def _deployed_params(self, client: ClientState) -> ModelParams:
-        """The model a BS actually runs after the round closes.
-
-        Personalization strategies deploy the BS's own post-training model;
-        traditional FL deploys the freshly aggregated global model, and FedPer
-        deploys the aggregated shared layers on top of the local head.
-        """
-        if self.run.strategy == "fedavg":
-            return self.global_params
-        if self.run.strategy == "fedper":
-            merged = client.params.copy()
-            merged.data[self._shared_mask] = self.global_params.data[self._shared_mask]
-            return merged
+        """The model a BS actually runs after the round closes (module doc, step 6)."""
+        if self.spec.deploy_merged:
+            return self._take_server_layers(client.params, self.global_params)
         return client.params
 
     def _evaluate_round(self, t: int) -> RoundMetrics:
@@ -498,21 +494,3 @@ class FederatedSimulation:
             return None
         return max(rounds)[1]
 
-
-# convenience constructors mirroring the strategy names
-
-
-def strategy_fixed_pfl(scn: Scenario, datasets: list[BsDataset], run: RunConfig, pi_fixed: float = 0.5) -> FederatedSimulation:
-    return FederatedSimulation(scn, datasets, dataclasses.replace(run, strategy="fixed_pfl", pi_fixed=pi_fixed))
-
-
-def strategy_fedper(scn: Scenario, datasets: list[BsDataset], run: RunConfig, shared: tuple[str, ...]) -> FederatedSimulation:
-    return FederatedSimulation(scn, datasets, dataclasses.replace(run, strategy="fedper", fedper_shared=shared))
-
-
-def strategy_pfedme(
-    scn: Scenario, datasets: list[BsDataset], run: RunConfig, lambda_prox: float = 15.0, inner_steps: int = 5
-) -> FederatedSimulation:
-    return FederatedSimulation(
-        scn, datasets, dataclasses.replace(run, strategy="pfedme", lambda_prox=lambda_prox, inner_steps=inner_steps)
-    )

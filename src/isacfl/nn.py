@@ -13,14 +13,13 @@ interference terms and are treated as constants (no cross-BS gradient flow).
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from isacfl.channel import RngStream
+from isacfl.container import ContainerReader, DatasetFormatError, decoding, write_container
 from isacfl.metrics import ChannelSample, Scenario, mrc_combiner
 
 _LN2 = float(np.log(2.0))
@@ -476,37 +475,7 @@ def loss_and_grad(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: JSON layout header + length-prefixed little-endian float64
-
-
-def _write_array(fh, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    fh.write(struct.pack("<Q", arr.size))
-    fh.write(arr.tobytes())
-
-
-def _read_array(fh) -> np.ndarray:
-    (count,) = struct.unpack("<Q", fh.read(8))
-    buf = fh.read(count * 8)
-    if len(buf) != count * 8:
-        raise ValueError("truncated parameter file")
-    return np.frombuffer(buf, dtype="<f8").astype(np.float64)
-
-
-def _write_header(fh, header: dict) -> None:
-    raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    fh.write(struct.pack("<Q", len(raw)))
-    fh.write(raw)
-
-
-def _read_header(fh, magic: str) -> dict:
-    (length,) = struct.unpack("<Q", fh.read(8))
-    header = json.loads(fh.read(length).decode("utf-8"))
-    if header.get("format") != magic:
-        raise ValueError(f"not a {magic} file")
-    if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported version {header.get('version')}")
-    return header
+# Serialization: the shared container (isacfl.container) with float64 arrays
 
 
 def save_params(path, params: ModelParams) -> None:
@@ -516,18 +485,17 @@ def save_params(path, params: ModelParams) -> None:
         "net": {"n_t": params.cfg.n_t, "k_max": params.cfg.k_max, "hidden": params.cfg.hidden},
         "layers": [[name, list(dims)] for name, dims in layer_dims(params.cfg).items()],
     }
-    with open(path, "wb") as fh:
-        _write_header(fh, header)
-        _write_array(fh, params.data)
+    write_container(path, header, [params.data], "<f8")
 
 
 def load_params(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        header = _read_header(fh, PARAMS_MAGIC)
-        data = _read_array(fh)
-    net = header["net"]
-    cfg = NetConfig(n_t=net["n_t"], k_max=net["k_max"], hidden=net["hidden"])
-    return ModelParams(data, cfg)
+    with open(path, "rb") as fh, decoding(path):
+        reader = ContainerReader(fh, path, PARAMS_MAGIC, FORMAT_VERSION, "<f8")
+        dims = {key: reader.header["net"][key] for key in ("n_t", "k_max", "hidden")}
+        if not all(isinstance(value, int) for value in dims.values()):
+            raise DatasetFormatError(f"{path}: network dimensions must be integers, got {dims}")
+        cfg = NetConfig(**dims)
+        return ModelParams(reader.array(param_count(cfg)).astype(np.float64), cfg)
 
 
 def save_adam(path, state: AdamState) -> None:
@@ -540,23 +508,15 @@ def save_adam(path, state: AdamState) -> None:
         "beta2": state.beta2,
         "eps": state.eps,
     }
-    with open(path, "wb") as fh:
-        _write_header(fh, header)
-        _write_array(fh, state.m)
-        _write_array(fh, state.v)
+    write_container(path, header, [state.m, state.v], "<f8")
 
 
 def load_adam(path) -> AdamState:
-    with open(path, "rb") as fh:
-        header = _read_header(fh, ADAM_MAGIC)
-        m = _read_array(fh)
-        v = _read_array(fh)
-    return AdamState(
-        m=m,
-        v=v,
-        step=header["step"],
-        lr=header["lr"],
-        beta1=header["beta1"],
-        beta2=header["beta2"],
-        eps=header["eps"],
-    )
+    with open(path, "rb") as fh, decoding(path):
+        reader = ContainerReader(fh, path, ADAM_MAGIC, FORMAT_VERSION, "<f8")
+        m = reader.array().astype(np.float64)
+        v = reader.array(m.size).astype(np.float64)
+        hyper = {key: reader.header[key] for key in ("step", "lr", "beta1", "beta2", "eps")}
+        if not isinstance(hyper["step"], int) or not all(isinstance(value, (int, float)) for value in hyper.values()):
+            raise DatasetFormatError(f"{path}: optimizer settings must be numbers, got {hyper}")
+        return AdamState(m=m, v=v, **hyper)

@@ -86,33 +86,36 @@ def desk_run_config(strategy: str, seed: int) -> RunConfig:
 
 
 def _desk_job(args):
-    variant, strategy, seed = args
+    """Every strategy of one (variant, seed) on one generated dataset."""
+    variant, seed, strategies = args
     scn = build_scenario(variant, n_t=DESK_PRESET["n_t"], n_r=DESK_PRESET["n_r"])
     data = generate_dataset(scn, DESK_PRESET["samples"], seed=seed)
-    sim = FederatedSimulation(scn, data, desk_run_config(strategy, seed))
-    history = sim.run_rounds(DESK_PRESET["rounds"])
-    final = history[-1]
-    return {
-        "variant": variant,
-        "strategy": strategy,
-        "seed": seed,
-        "final_system_utility": final.system_utility,
-        "final_pi": tuple(final.pi),
-        "trajectory": [h.system_utility for h in history],
-    }
+    rows = []
+    for strategy in strategies:
+        sim = FederatedSimulation(scn, data, desk_run_config(strategy, seed))
+        history = sim.run_rounds(DESK_PRESET["rounds"])
+        rows.append(
+            {
+                "variant": variant,
+                "strategy": strategy,
+                "seed": seed,
+                "final_system_utility": history[-1].system_utility,
+                "final_pi": tuple(history[-1].pi),
+                "trajectory": [h.system_utility for h in history],
+            }
+        )
+    return rows
+
+
+DESK_STRATEGIES = {"heterogeneous": ("em_pfl", "fixed_pfl", "fedavg"), "homogeneous": ("em_pfl", "fedavg")}
 
 
 @pytest.fixture(scope="session")
 def desk_results():
-    """Every desk-preset run needed by criteria 5-7, computed once."""
-    jobs = []
-    for seed in SEEDS:
-        for strategy in ("em_pfl", "fixed_pfl", "fedavg"):
-            jobs.append(("heterogeneous", strategy, seed))
-        for strategy in ("em_pfl", "fedavg"):
-            jobs.append(("homogeneous", strategy, seed))
+    """Every desk-preset run needed by criteria 5-7, computed once; one dataset per (variant, seed)."""
+    jobs = [(variant, seed, strategies) for seed in SEEDS for variant, strategies in DESK_STRATEGIES.items()]
     with ProcessPoolExecutor(max_workers=2) as pool:
-        rows = list(pool.map(_desk_job, jobs))
+        rows = [row for job_rows in pool.map(_desk_job, jobs) for row in job_rows]
     return {(r["variant"], r["strategy"], r["seed"]): r for r in rows}
 
 
@@ -365,24 +368,19 @@ class TestCriterion7PiSpreadContrast:
 
 
 class TestCriterion8Determinism:
-    def test_thread_count_invariant_csv(self, tmp_path):
+    def test_resume_matches_straight_run_csv(self, tmp_path):
         data_dir = tmp_path / "data"
         rc = main(
             ["gen-data", "--scenario", "heterogeneous", "--seed", "1", "--preset", "desk", "--out", str(data_dir)]
         )
         assert rc == 0
-        outputs = []
-        for threads, name in ((1, "t1"), (3, "t3")):
-            rc = main(
-                [
-                    "run", "--preset", "desk", "--dataset", str(data_dir), "--out", str(tmp_path / name),
-                    "--seed", "1", "--threads", str(threads), "--quiet",
-                ]
-            )
-            assert rc == 0
-            outputs.append((tmp_path / name / "metrics.csv").read_bytes())
-        assert outputs[0] == outputs[1]
-        _report(8, "determinism", "full desk run, byte-identical metrics.csv across client-thread counts")
+        desk = ["run", "--preset", "desk", "--dataset", str(data_dir), "--seed", "1", "--quiet"]
+        assert main([*desk, "--out", str(tmp_path / "straight")]) == 0
+        assert main([*desk, "--out", str(tmp_path / "resumed"), "--rounds", "15"]) == 0
+        assert main([*desk, "--out", str(tmp_path / "resumed"), "--resume"]) == 0
+        straight = (tmp_path / "straight" / "metrics.csv").read_bytes()
+        assert straight == (tmp_path / "resumed" / "metrics.csv").read_bytes()
+        _report(8, "determinism", "30-round desk run byte-identical to 15 rounds plus --resume to 30")
 
 
 class TestCriterion9BaselineDegenerations:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, config precedence, exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from isacfl.cli import main, read_metrics_csv, summarize
 from isacfl.datagen import generate_dataset, build_scenario, write_dataset
 from isacfl.svgplot import line_chart
+from test_container import rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +173,85 @@ class TestRun:
             ]
         )
         assert rc == 4
+
+
+class TestBadSettings:
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--rounds", "0"], ""),
+            (["--lr", "-1"], ""),
+            (["--pi-fixed", "1.5"], ""),
+            ([], "rounds = 0\n"),
+            ([], "strategy = sgd\n"),
+            ([], "threads = 2\n"),
+        ],
+        ids=["flag-rounds-0", "flag-lr-negative", "flag-pi-fixed", "config-rounds-0", "config-strategy", "config-threads"],
+    )
+    def test_out_of_range_setting_is_config_error(self, toy_dataset, tmp_path, capsys, flags, config):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset = {toy_dataset}\nout = {tmp_path / 'r'}\nhidden = 6\n{config}")
+        assert main(["run", "--config", str(cfg), "--quiet", *flags]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("flag", [["--strategy", "sgd"], ["--threads", "2"]])
+    def test_unknown_flag_value_is_usage_error(self, toy_dataset, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_toy(toy_dataset, tmp_path / "r", *flag)
+        assert exc.value.code == 2
+
+
+def _truncate_to_five_bytes(path):
+    path.write_bytes(path.read_bytes()[:5])
+
+
+def _huge_header_length(path):
+    rewrite_header(path, lambda h: None, length=1 << 40)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("bs0.opt.bin", _truncate_to_five_bytes),
+            ("bs0.opt.bin", _huge_header_length),
+            ("bs0.opt.bin", lambda p: rewrite_header(p, lambda h: h.pop("step"))),
+        ],
+        ids=["opt-5-bytes", "opt-header-2^40", "opt-no-step"],
+    )
+    def test_damaged_checkpoint_is_data_error(self, toy_dataset, tmp_path, capsys, name, damage):
+        out = tmp_path / "r"
+        assert run_toy(toy_dataset, out) == 0
+        damage(out / "round_1" / name)
+        assert run_toy(toy_dataset, out, "--rounds", "3", "--resume") == 3
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: rewrite_header(p, lambda h: h.pop("scenario")),
+            lambda p: rewrite_header(p, lambda h: h.update(cell=7)),
+        ],
+        ids=["no-scenario", "cell-7"],
+    )
+    def test_damaged_dataset_is_data_error(self, toy_dataset, tmp_path, capsys, damage):
+        data = tmp_path / "data"
+        shutil.copytree(toy_dataset, data)
+        damage(data / "bs1.ds")
+        assert run_toy(data, tmp_path / "r") == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_mixed_dataset_directory_is_data_error(self, tmp_path, capsys):
+        for variant, seed in (("heterogeneous", 3), ("homogeneous", 4)):
+            scn = build_scenario(variant, n_t=3, n_r=3)
+            write_dataset(tmp_path / f"{variant}", generate_dataset(scn, 40, seed=seed))
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        for name, variant in (("bs0.ds", "heterogeneous"), ("bs1.ds", "heterogeneous"), ("bs2.ds", "homogeneous")):
+            shutil.copy(tmp_path / variant / name, mixed / name)
+        assert run_toy(mixed, tmp_path / "r") == 3
+        assert "different scenarios or seeds" in capsys.readouterr().err
 
 
 class TestPlot:

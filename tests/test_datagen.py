@@ -8,7 +8,6 @@ import pytest
 from isacfl.datagen import (
     DatasetFormatError,
     DatasetVersionError,
-    build_paper_scenario,
     build_scenario,
     generate_bs_dataset,
     generate_dataset,
@@ -21,14 +20,14 @@ from isacfl.datagen import (
 
 class TestScenarioVariants:
     def test_homogeneous(self):
-        scn = build_paper_scenario("homogeneous")
+        scn = build_scenario("homogeneous")
         assert scn.n_cells == 3 and scn.n_t == 8 and scn.n_r == 8
         assert scn.k_per_cell == (2, 3, 4)
         assert scn.rho_per_cell == (0.5, 0.5, 0.5)
         assert scn.rician_k == 3.0
 
     def test_heterogeneous(self):
-        scn = build_paper_scenario("heterogeneous")
+        scn = build_scenario("heterogeneous")
         assert scn.rho_per_cell == (0.2, 0.6, 0.8)
         assert scn.k_per_cell == (2, 3, 4)
 
@@ -162,6 +161,15 @@ class TestPersistence:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(DatasetFormatError):
             read_dataset(tmp_path / "nope")
+
+    @pytest.mark.parametrize("other", [("heterogeneous", 4), ("homogeneous", 9)], ids=["seed", "scenario"])
+    def test_mixed_directory_rejected(self, tmp_path, small_data, other):
+        variant, seed = other
+        write_dataset(tmp_path / "d", small_data)
+        stray = generate_bs_dataset(build_scenario(variant, n_t=3, n_r=3), 2, 40, seed=seed)
+        write_bs_dataset(tmp_path / "d" / "bs2.ds", stray)
+        with pytest.raises(DatasetFormatError, match="different scenarios or seeds"):
+            read_dataset(tmp_path / "d")
 
     def test_not_a_dataset(self, tmp_path):
         path = tmp_path / "junk.ds"
