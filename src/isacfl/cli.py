@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import shutil
 import sys
 import time
@@ -146,6 +147,21 @@ def append_round_csv(fh, metrics: RoundMetrics) -> None:
     fh.flush()
 
 
+def _start_csv(csv_path: Path, kept_rows: list[dict]):
+    """Replace ``csv_path`` with the header and ``kept_rows``; return it open for appending.
+
+    The rows go to a temp file that is renamed over the old one, so a crash
+    leaves either the old file or the new one, never a truncated one.
+    """
+    tmp = csv_path.with_name(csv_path.name + ".tmp")
+    with open(tmp, "w", newline="") as fh:
+        fh.write(",".join(CSV_FIELDS) + "\n")
+        for row in kept_rows:
+            fh.write(",".join([str(row["round"]), str(row["bs"])] + [_fmt(row[k]) for k in CSV_FIELDS[2:]]) + "\n")
+    os.replace(tmp, csv_path)
+    return open(csv_path, "a", newline="")
+
+
 def read_metrics_csv(path) -> list[dict]:
     """Rows of one metrics.csv as dicts with typed values."""
     path = Path(path)
@@ -261,19 +277,15 @@ def _cmd_run(args) -> int:
             shutil.rmtree(stale)
 
     checkpoint_every = settings["checkpoint_every"]
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(",".join(CSV_FIELDS) + "\n")
-        for row in kept_rows:
-            fh.write(
-                ",".join(
-                    [str(row["round"]), str(row["bs"])] + [_fmt(row[k]) for k in CSV_FIELDS[2:]]
-                )
-                + "\n"
-            )
-        fh.flush()
-        started = time.perf_counter()
+    # metrics.csv is (re)written only once a round has succeeded: a run that
+    # fails in its first round leaves no metrics.csv that a rerun would refuse.
+    fh = None
+    started = time.perf_counter()
+    try:
         while sim.round_index < run_cfg.rounds:
             metrics = sim.run_round()
+            if fh is None:
+                fh = _start_csv(csv_path, kept_rows)
             append_round_csv(fh, metrics)
             is_last = sim.round_index >= run_cfg.rounds
             if is_last or (checkpoint_every > 0 and sim.round_index % checkpoint_every == 0):
@@ -287,6 +299,11 @@ def _cmd_run(args) -> int:
                     f"round {metrics.round_index:3d}  system_utility={metrics.system_utility:.4f}  "
                     f"pi={['%.3f' % p for p in metrics.pi]}  ({metrics.duration_sec:.2f}s)"
                 )
+    finally:
+        if fh is not None:
+            fh.close()
+    if fh is None:  # resumed with no round left: still drop rows past the checkpoint
+        _start_csv(csv_path, kept_rows).close()
 
     rows = read_metrics_csv(csv_path)
     summary = summarize(rows)

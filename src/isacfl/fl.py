@@ -20,12 +20,18 @@ update, the server update and the deployed model of both.
 
 Inter-cell interference is frozen at round boundaries: each BS publishes the
 beamformers its current model produces on its evaluation slice, and peers pair
-those with their own samples by index.
+those with their own samples by index. Because the pools do not change within a
+round, each BS computes its interference denominators for all its samples once
+per round (``LossContext.interference``), and every pi batch, training step and
+pFedMe inner step only indexes them; the round's evaluation does the same with
+the deployed models' pools.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,6 +87,9 @@ STRATEGIES = {
     "pfedme": Strategy(mix="keep", proximal=True),
     "local_only": Strategy(mix="keep"),
 }
+
+# A checkpoint directory is round_<t>; it is written as round_<t>.partial first.
+_CHECKPOINT_NAME = re.compile(r"round_(\d+)")
 
 # rng sub-domains of the master stream
 _DOMAIN_INIT = 0
@@ -234,23 +243,19 @@ class RunConfig:
         return EmConfig(kappa=self.kappa, eval_batch=self.eval_batch)
 
 
-def _peer_batch(pools: dict[int, np.ndarray], idx: np.ndarray) -> dict[int, np.ndarray]:
-    """Pair own sample indices with peer beamformers (index modulo pool size)."""
-    return {i: pool[idx % pool.shape[0]] for i, pool in pools.items()}
-
-
 def compute_pi(
     client: ClientState,
     global_params: ModelParams,
     em: EmConfig,
     rng: RngStream,
-    peer_pools: dict[int, np.ndarray],
+    interference: tuple[np.ndarray, np.ndarray],
     eval_cap: int = 1024,
 ) -> float:
     """EM aggregation weight: how much of the global model this BS should take.
 
     Scores both models on re-shuffled mini-batches of a fixed evaluation
     slice (never the training stream) and averages the per-batch posteriors.
+    ``interference`` is the client's ``ctx.interference`` of the round's pools.
     """
     if client.data.n_samples < em.eval_batch:
         raise ValueError(
@@ -262,9 +267,8 @@ def compute_pi(
     lambdas = []
     for start in range(0, shuffled.size, em.eval_batch):
         idx = shuffled[start : start + em.eval_batch]
-        peers = _peer_batch(peer_pools, idx)
-        loss_g, _, _, _ = client.ctx.evaluate(global_params, idx, peers, want_grad=False)
-        loss_l, _, _, _ = client.ctx.evaluate(client.params, idx, peers, want_grad=False)
+        loss_g, _, _, _ = client.ctx.evaluate(global_params, idx, interference, want_grad=False)
+        loss_l, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)
         lambdas.append(e_step(loss_g, loss_l, em))
     return m_step(lambdas)
 
@@ -273,7 +277,7 @@ def local_train(
     client: ClientState,
     epochs: int,
     batch_size: int,
-    peer_pools: dict[int, np.ndarray],
+    interference: tuple[np.ndarray, np.ndarray],
     rng: RngStream,
     prox_ref: ModelParams | None = None,
     lambda_prox: float = 0.0,
@@ -281,7 +285,10 @@ def local_train(
 ) -> ClientState:
     """Mini-batch Adam epochs over the training stream; mutates the client.
 
-    With ``prox_ref`` set, every gradient gains lambda_prox * (params - ref)
+    ``interference`` is the client's ``ctx.interference`` of the round's
+    pools. ``client.params`` and ``client.adam`` are updated in place, so they
+    must not share memory with ``prox_ref`` or with another client. With
+    ``prox_ref`` set, every gradient gains lambda_prox * (params - ref)
     and each batch is revisited ``inner_steps`` times (proximal local
     training); otherwise one step per batch.
     """
@@ -292,12 +299,11 @@ def local_train(
         perm = rng.child(epoch).generator().permutation(n_train)
         for start in range(0, n_train, batch_size):
             idx = perm[start : start + batch_size]
-            peers = _peer_batch(peer_pools, idx)
             for _ in range(inner_steps):
-                _, grad, _, _ = client.ctx.evaluate(client.params, idx, peers)
+                _, grad, _, _ = client.ctx.evaluate(client.params, idx, interference)
                 if prox_ref is not None and lambda_prox != 0.0:
-                    grad = grad + lambda_prox * (client.params.data - prox_ref.data)
-                client.params, client.adam = adam_step(client.params, grad, client.adam)
+                    grad += lambda_prox * (client.params.data - prox_ref.data)
+                adam_step(client.params, grad, client.adam)
     return client
 
 
@@ -366,13 +372,10 @@ class FederatedSimulation:
             )
         return pools
 
-    def _pools_excluding(self, pools: dict[int, np.ndarray], m: int) -> dict[int, np.ndarray]:
-        return {i: p for i, p in pools.items() if i != m}
-
     def _client_round(self, client: ClientState, t: int, pools: dict[int, np.ndarray]) -> None:
         """Steps 2-4 for one client; independent of every other client."""
         run, spec = self.run, self.spec
-        peers = self._pools_excluding(pools, client.m)
+        interference = client.ctx.interference(pools)
         if spec.mix == "take":
             client.pi = 1.0
             client.params = self._take_server_layers(client.params, self.global_params)
@@ -381,7 +384,7 @@ class FederatedSimulation:
         else:
             if spec.mix == "posterior":
                 pi_rng = self.master.child(_DOMAIN_PI).child(t).child(client.m)
-                client.pi = compute_pi(client, self.global_params, run.em, pi_rng, peers, run.pi_eval_cap)
+                client.pi = compute_pi(client, self.global_params, run.em, pi_rng, interference, run.pi_eval_cap)
             else:
                 client.pi = run.pi_fixed
             client.params = mix_models(client.params, self.global_params, client.pi)
@@ -390,7 +393,7 @@ class FederatedSimulation:
             client,
             run.local_epochs,
             run.batch_size,
-            peers,
+            interference,
             self.master.child(_DOMAIN_TRAIN).child(t).child(client.m),
             prox_ref=self.global_params if spec.proximal else None,
             lambda_prox=run.lambda_prox,
@@ -428,8 +431,7 @@ class FederatedSimulation:
         pis, losses, comm, radar, util = [], [], [], [], []
         for client, params in zip(self.clients, deployed):
             idx = client.data.eval_indices
-            peers = _peer_batch(self._pools_excluding(pools, client.m), idx)
-            loss, _, r_c, r_s = client.ctx.evaluate(params, idx, peers, want_grad=False)
+            loss, _, r_c, r_s = client.ctx.evaluate(params, idx, client.ctx.interference(pools), want_grad=False)
             pis.append(client.pi)
             losses.append(loss)
             comm.append(float(np.mean(r_c)))
@@ -457,16 +459,27 @@ class FederatedSimulation:
     # -- checkpointing ------------------------------------------------------
 
     def save_checkpoint(self, run_dir) -> Path:
-        """Write round_<t> with the post-round server and client state."""
+        """Write round_<t> with the post-round server and client state.
+
+        The files go into round_<t>.partial, which is renamed to round_<t>
+        only when complete, so a crash never leaves a round_<t> directory
+        that ``latest_checkpoint`` would trust.
+        """
         t = self.round_index - 1
         if t < 0:
             raise ValueError("no completed round to checkpoint")
         cdir = Path(run_dir) / f"round_{t}"
-        cdir.mkdir(parents=True, exist_ok=True)
-        save_params(cdir / "global.bin", self.global_params)
+        partial = cdir.with_name(cdir.name + ".partial")
+        if partial.exists():
+            shutil.rmtree(partial)
+        partial.mkdir(parents=True)
+        save_params(partial / "global.bin", self.global_params)
         for client in self.clients:
-            save_params(cdir / f"bs{client.m}.bin", client.params)
-            save_adam(cdir / f"bs{client.m}.opt.bin", client.adam)
+            save_params(partial / f"bs{client.m}.bin", client.params)
+            save_adam(partial / f"bs{client.m}.opt.bin", client.adam)
+        if cdir.exists():
+            shutil.rmtree(cdir)
+        partial.rename(cdir)
         return cdir
 
     def restore_checkpoint(self, cdir) -> None:
@@ -480,17 +493,14 @@ class FederatedSimulation:
 
     @staticmethod
     def latest_checkpoint(run_dir) -> Path | None:
+        """The round_<t> directory with the largest t; partial ones are ignored."""
         run_dir = Path(run_dir)
         if not run_dir.is_dir():
             return None
-        rounds = []
-        for child in run_dir.iterdir():
-            if child.is_dir() and child.name.startswith("round_"):
-                try:
-                    rounds.append((int(child.name.removeprefix("round_")), child))
-                except ValueError:
-                    continue
-        if not rounds:
-            return None
-        return max(rounds)[1]
+        rounds = [
+            (int(match.group(1)), child)
+            for child in run_dir.iterdir()
+            if child.is_dir() and (match := _CHECKPOINT_NAME.fullmatch(child.name))
+        ]
+        return max(rounds)[1] if rounds else None
 

@@ -144,17 +144,37 @@ class AdamState:
         return replace(self, m=self.m.copy(), v=self.v.copy())
 
 
-def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update; purely functional."""
+def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update, in place.
+
+    Overwrites ``params.data``, ``state.m`` and ``state.v`` and advances
+    ``state.step``. The operations run in the order of the textbook
+    expressions (``((1 - b2) * g) * g``, then ``lr * m_hat``, then the
+    division by ``sqrt(v_hat) + eps``), so the result is bit-identical to
+    evaluating them, with two temporaries per step instead of one per
+    operation.
+    """
     if grad.shape != params.data.shape:
         raise ValueError("gradient length does not match parameter vector")
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_data = params.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return ModelParams(new_data, params.cfg), replace(state, m=m, v=v, step=t)
+    m, v = state.m, state.v
+    tmp = np.empty_like(grad)
+    den = np.empty_like(grad)
+    np.multiply(m, state.beta1, out=m)
+    np.multiply(grad, 1.0 - state.beta1, out=tmp)
+    np.add(m, tmp, out=m)
+    np.multiply(v, state.beta2, out=v)
+    np.multiply(grad, 1.0 - state.beta2, out=tmp)
+    np.multiply(tmp, grad, out=tmp)
+    np.add(v, tmp, out=v)
+    np.divide(m, 1.0 - state.beta1**t, out=tmp)
+    np.multiply(tmp, state.lr, out=tmp)
+    np.divide(v, 1.0 - state.beta2**t, out=den)
+    np.sqrt(den, out=den)
+    np.add(den, state.eps, out=den)
+    np.divide(tmp, den, out=tmp)
+    np.subtract(params.data, tmp, out=params.data)
+    state.step = t
 
 
 def project_power(w_raw: np.ndarray, p_t: float) -> np.ndarray:
@@ -228,33 +248,25 @@ def _mlp_forward(p: dict, xc: np.ndarray, xs: np.ndarray):
 
 
 def _mlp_backward(p: dict, cache, g_y: np.ndarray, cfg: NetConfig) -> np.ndarray:
+    """Parameter gradient, each block written straight into one flat vector."""
     xc, xs, zc, ac, zs, asn, af, zf, f = cache
     hidden = cfg.hidden
-    g_out_w = f.T @ g_y
-    g_out_b = g_y.sum(axis=0)
+    grad = np.empty(param_count(cfg))
+    g = unpack(ModelParams(grad, cfg))
+    np.matmul(f.T, g_y, out=g["out"][0])
+    np.sum(g_y, axis=0, out=g["out"][1])
     g_f = g_y @ p["out"][0].T
     g_zf = g_f * (zf > 0.0)
-    g_fus_w = af.T @ g_zf
-    g_fus_b = g_zf.sum(axis=0)
+    np.matmul(af.T, g_zf, out=g["fusion"][0])
+    np.sum(g_zf, axis=0, out=g["fusion"][1])
     g_af = g_zf @ p["fusion"][0].T
     g_zc = g_af[:, :hidden] * (zc > 0.0)
     g_zs = g_af[:, hidden:] * (zs > 0.0)
-    g_comm_w = xc.T @ g_zc
-    g_comm_b = g_zc.sum(axis=0)
-    g_sens_w = xs.T @ g_zs
-    g_sens_b = g_zs.sum(axis=0)
-    return np.concatenate(
-        [
-            g_comm_w.ravel(),
-            g_comm_b,
-            g_sens_w.ravel(),
-            g_sens_b,
-            g_fus_w.ravel(),
-            g_fus_b,
-            g_out_w.ravel(),
-            g_out_b,
-        ]
-    )
+    np.matmul(xc.T, g_zc, out=g["comm"][0])
+    np.sum(g_zc, axis=0, out=g["comm"][1])
+    np.matmul(xs.T, g_zs, out=g["sens"][0])
+    np.sum(g_zs, axis=0, out=g["sens"][1])
+    return grad
 
 
 def _reshape_to_beams(y: np.ndarray, cfg: NetConfig, k_m: int) -> np.ndarray:
@@ -366,31 +378,43 @@ class LossContext:
     def n_samples(self) -> int:
         return self.h.shape[0]
 
-    def _interference(self, idx: np.ndarray, peers_w: dict[int, np.ndarray]):
-        """Constant interference terms: (B, k_m) comm and (B,) radar denominators."""
-        bsz = len(idx)
-        cross_c = np.zeros((bsz, self.k_m))
-        den_s = np.full(bsz, self.scn.sigma_s_sq)
-        for i, w_i in peers_w.items():
+    def interference(self, pools: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Constant interference terms of every sample: (n, k_m) comm and (n,) radar denominators.
+
+        ``pools`` maps other cells to their published (P_i, n_t, k_i)
+        beamformers; sample s pairs with pool entry s % P_i, and an entry for
+        this cell is ignored. Samples are walked in blocks of P_i so that each
+        block pairs with the pool as it is, without a gathered copy.
+        """
+        n = self.n_samples
+        cross_c = np.zeros((n, self.k_m))
+        den_s = np.full(n, self.scn.sigma_s_sq)
+        for i, pool in pools.items():
             if i == self.m:
                 continue
-            s_c = np.einsum("bkn,bnj->bkj", self.h_cross[i][idx].conj(), w_i)
-            cross_c += np.sum(np.abs(s_c) ** 2, axis=2)
-            s_r = np.einsum("bn,bnj->bj", self.vg[i][idx], w_i)
-            den_s += np.sum(np.abs(s_r) ** 2, axis=1)
+            size = pool.shape[0]
+            for start in range(0, n, size):
+                rows = slice(start, min(start + size, n))
+                w_i = pool[: rows.stop - start]
+                s_c = np.einsum("bkn,bnj->bkj", self.h_cross[i][rows].conj(), w_i)
+                cross_c[rows] += np.sum(np.abs(s_c) ** 2, axis=2)
+                s_r = np.einsum("bn,bnj->bj", self.vg[i][rows], w_i)
+                den_s[rows] += np.sum(np.abs(s_r) ** 2, axis=1)
         return cross_c, den_s
 
     def evaluate(
         self,
         params: ModelParams,
         idx: np.ndarray,
-        peers_w: dict[int, np.ndarray],
+        interference: tuple[np.ndarray, np.ndarray],
         want_grad: bool = True,
     ):
         """Mean loss over the indexed samples, with optional exact gradient.
 
-        Returns (loss, grad, comm_rates, radar_rates); ``grad`` is None when
-        ``want_grad`` is false. Rates are per-sample arrays.
+        ``interference`` is :meth:`interference` of the peer pools; only its
+        ``idx`` rows are read. Returns (loss, grad, comm_rates, radar_rates);
+        ``grad`` is None when ``want_grad`` is false. Rates are per-sample
+        arrays.
         """
         idx = np.asarray(idx)
         if idx.size == 0:
@@ -398,7 +422,7 @@ class LossContext:
         cfg, scn, k_m = self.cfg, self.scn, self.k_m
         bsz = idx.size
         rho = scn.rho_per_cell[self.m]
-        cross_c, den_s = self._interference(idx, peers_w)
+        cross_c, den_s = (term[idx] for term in interference)
 
         p = unpack(params)
         y, cache = _mlp_forward(p, self.xc[idx], self.xs[idx])
@@ -470,7 +494,7 @@ def loss_and_grad(
     BS's beamformers, one per batch sample; they are held constant.
     """
     ctx = LossContext.from_samples(cfg, scn, m, batch)
-    loss, grad, _, _ = ctx.evaluate(params, np.arange(len(batch)), peers_w or {})
+    loss, grad, _, _ = ctx.evaluate(params, np.arange(len(batch)), ctx.interference(peers_w or {}))
     return loss, grad
 
 

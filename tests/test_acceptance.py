@@ -241,13 +241,11 @@ class TestCriterion3EmAlgebra:
         sim = FederatedSimulation(scn, data, run)
         client = sim.clients[0]
         other = init_params(sim.net, RngStream(123))
-        pools = sim._pools_excluding(sim._eval_pools([c.params for c in sim.clients]), 0)
-        from isacfl.fl import _peer_batch
-
-        pi = compute_pi(client, other, EmConfig(), RngStream(9), pools)
+        interference = client.ctx.interference(sim._eval_pools([c.params for c in sim.clients]))
+        pi = compute_pi(client, other, EmConfig(), RngStream(9), interference)
         idx = client.data.eval_indices
-        lg, _, _, _ = client.ctx.evaluate(other, idx, _peer_batch(pools, idx), want_grad=False)
-        ll, _, _, _ = client.ctx.evaluate(client.params, idx, _peer_batch(pools, idx), want_grad=False)
+        lg, _, _, _ = client.ctx.evaluate(other, idx, interference, want_grad=False)
+        ll, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)
         assert abs(pi - e_step(lg, ll, EmConfig())) < 1e-15
         _report(3, "EM algebra", "sigmoid grid, m-step mean, B=1 degenerate")
 

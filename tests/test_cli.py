@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from isacfl import cli, fl
 from isacfl.cli import main, read_metrics_csv, summarize
 from isacfl.datagen import generate_dataset, build_scenario, write_dataset
 from isacfl.svgplot import line_chart
@@ -133,6 +134,49 @@ class TestRun:
         assert run_toy(toy_dataset, tmp_path / "part", "--rounds", "2", "--checkpoint-every", "1") == 0
         assert run_toy(toy_dataset, tmp_path / "part", "--rounds", "4", "--checkpoint-every", "1", "--resume") == 0
         assert (tmp_path / "full" / "metrics.csv").read_bytes() == (tmp_path / "part" / "metrics.csv").read_bytes()
+
+    def test_first_round_failure_leaves_no_csv(self, toy_dataset, tmp_path, capsys):
+        small = tmp_path / "small"
+        write_dataset(small, generate_dataset(build_scenario("heterogeneous", n_t=3, n_r=3), 40, seed=4))
+        out = tmp_path / "r"
+        assert run_toy(small, out) == 3  # 4 eval samples per BS < eval_batch
+        assert "eval_batch" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+        assert run_toy(toy_dataset, out) == 0
+
+    def test_crash_while_checkpointing_resumes_from_previous(self, toy_dataset, tmp_path, monkeypatch):
+        full, part = tmp_path / "full", tmp_path / "part"
+        assert run_toy(toy_dataset, full, "--rounds", "4", "--checkpoint-every", "1") == 0
+
+        real_save_adam = fl.save_adam
+
+        def fail_in_round_2(path, state):
+            if path.parent.name.startswith("round_2"):
+                raise OSError("device full")
+            real_save_adam(path, state)
+
+        monkeypatch.setattr(fl, "save_adam", fail_in_round_2)
+        assert run_toy(toy_dataset, part, "--rounds", "4", "--checkpoint-every", "1") == 3
+        monkeypatch.undo()
+        assert (part / "round_2.partial").is_dir() and not (part / "round_2").exists()
+        assert run_toy(toy_dataset, part, "--rounds", "4", "--checkpoint-every", "1", "--resume") == 0
+        assert (full / "metrics.csv").read_bytes() == (part / "metrics.csv").read_bytes()
+        assert sorted(p.name for p in part.glob("round_*")) == ["round_3"]
+
+    def test_crash_while_rewriting_csv_keeps_old_rows(self, toy_dataset, tmp_path, monkeypatch):
+        out = tmp_path / "r"
+        assert run_toy(toy_dataset, out, "--checkpoint-every", "1") == 0
+        before = (out / "metrics.csv").read_bytes()
+
+        def killed(value):
+            raise OSError("killed while writing")
+
+        monkeypatch.setattr(cli, "_fmt", killed)
+        assert run_toy(toy_dataset, out, "--rounds", "4", "--resume") == 3
+        monkeypatch.undo()
+        assert (out / "metrics.csv").read_bytes() == before
+        assert run_toy(toy_dataset, out, "--rounds", "4", "--resume") == 0
+        assert len(read_metrics_csv(out / "metrics.csv")) == 4 * 3
 
     def test_config_file_and_flag_precedence(self, toy_dataset, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -1,14 +1,17 @@
 """EM aggregation, local training, round orchestration, and baselines."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from isacfl import fl
 from isacfl.channel import RngStream
 from isacfl.datagen import build_scenario, generate_dataset
 from isacfl.fl import (
+    STRATEGIES,
     EmConfig,
     FederatedSimulation,
     NumericalError,
@@ -139,7 +142,7 @@ class TestComputePi:
         sim = FederatedSimulation(scn, data, run)
         client = sim.clients[0]
         pools = sim._eval_pools([c.params for c in sim.clients])
-        pi = compute_pi(client, sim.global_params, EM, RngStream(5), sim._pools_excluding(pools, 0))
+        pi = compute_pi(client, sim.global_params, EM, RngStream(5), client.ctx.interference(pools))
         assert pi == 0.5
 
     def test_single_batch_equals_e_step(self):
@@ -149,13 +152,11 @@ class TestComputePi:
         client = sim.clients[1]
         other = init_params(sim.net, RngStream(99))
         pools = sim._eval_pools([c.params for c in sim.clients])
-        peers = sim._pools_excluding(pools, 1)
-        pi = compute_pi(client, other, EM, RngStream(6), peers)
+        interference = client.ctx.interference(pools)
+        pi = compute_pi(client, other, EM, RngStream(6), interference)
         idx = client.data.eval_indices
-        from isacfl.fl import _peer_batch
-
-        lg, _, _, _ = client.ctx.evaluate(other, idx, _peer_batch(peers, idx), want_grad=False)
-        ll, _, _, _ = client.ctx.evaluate(client.params, idx, _peer_batch(peers, idx), want_grad=False)
+        lg, _, _, _ = client.ctx.evaluate(other, idx, interference, want_grad=False)
+        ll, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)
         assert abs(pi - e_step(lg, ll, EM)) < 1e-15
 
     def test_much_worse_global_yields_tiny_pi(self):
@@ -168,20 +169,22 @@ class TestComputePi:
         run = RunConfig(strategy="em_pfl", rounds=1, local_epochs=2, batch_size=16, hidden=8, seed=2, lr=1e-3)
         sim = FederatedSimulation(scn, data, run)
         client = sim.clients[0]
-        local_train(client, 2, 16, {}, RngStream(7))
+        no_peers = client.ctx.interference({})
+        local_train(client, 2, 16, no_peers, RngStream(7))
         idx = client.data.eval_indices
-        ll, _, _, _ = client.ctx.evaluate(client.params, idx, {}, want_grad=False)
+        ll, _, _, _ = client.ctx.evaluate(client.params, idx, no_peers, want_grad=False)
         assert ll < -5.0  # utility above 5 bits
         zero_global = ModelParams(np.zeros(param_count(sim.net)), sim.net)
-        pi = compute_pi(client, zero_global, EM, RngStream(8), {})
+        pi = compute_pi(client, zero_global, EM, RngStream(8), no_peers)
         assert pi < 0.01
 
     def test_dataset_too_small(self):
         scn, data, run = toy_setup(n_samples=40)
         sim = FederatedSimulation(scn, data, run)
         big_batch = EmConfig(eval_batch=64)
+        client = sim.clients[0]
         with pytest.raises(ValueError):
-            compute_pi(sim.clients[0], sim.global_params, big_batch, RngStream(9), {})
+            compute_pi(client, sim.global_params, big_batch, RngStream(9), client.ctx.interference({}))
 
 
 class TestLocalTrain:
@@ -192,7 +195,7 @@ class TestLocalTrain:
         client.adam.lr = 0.0
         before = client.params.data.copy()
         pools = sim._eval_pools([c.params for c in sim.clients])
-        local_train(client, 2, 16, sim._pools_excluding(pools, 0), RngStream(10))
+        local_train(client, 2, 16, client.ctx.interference(pools), RngStream(10))
         np.testing.assert_array_equal(client.params.data, before)
         assert client.adam.step > 0
 
@@ -200,14 +203,11 @@ class TestLocalTrain:
         scn, data, run = toy_setup(n_samples=40, local_epochs=1)
         sim = FederatedSimulation(scn, data, run)
         client = sim.clients[0]
-        pools = sim._pools_excluding(sim._eval_pools([c.params for c in sim.clients]), 0)
+        interference = client.ctx.interference(sim._eval_pools([c.params for c in sim.clients]))
         idx = client.data.train_indices
-        from isacfl.fl import _peer_batch
-
-        peers = _peer_batch(pools, idx)
-        before, _, _, _ = client.ctx.evaluate(client.params, idx, peers, want_grad=False)
-        local_train(client, 1, len(idx), pools, RngStream(11))
-        after, _, _, _ = client.ctx.evaluate(client.params, idx, peers, want_grad=False)
+        before, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)
+        local_train(client, 1, len(idx), interference, RngStream(11))
+        after, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)
         assert after < before
 
     def test_deterministic(self):
@@ -216,8 +216,8 @@ class TestLocalTrain:
             scn, data, run = toy_setup()
             sim = FederatedSimulation(scn, data, run)
             client = sim.clients[2]
-            pools = sim._pools_excluding(sim._eval_pools([c.params for c in sim.clients]), 2)
-            local_train(client, 2, 16, pools, RngStream(12))
+            interference = client.ctx.interference(sim._eval_pools([c.params for c in sim.clients]))
+            local_train(client, 2, 16, interference, RngStream(12))
             results.append(client.params.data.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
@@ -254,6 +254,37 @@ class TestRounds:
         assert sim3.round_index == 2
         resumed = [m.system_utility for m in sim3.run_rounds(2)]
         assert resumed == full[2:]
+
+
+def shared_buffers(sim):
+    """Names of every pair among the global params, client params and Adam moments that share memory."""
+    arrays = {"global": sim.global_params.data}
+    for c in sim.clients:
+        arrays.update({f"bs{c.m}.params": c.params.data, f"bs{c.m}.m": c.adam.m, f"bs{c.m}.v": c.adam.v})
+    return [(a, b) for (a, x), (b, y) in itertools.combinations(arrays.items(), 2) if np.shares_memory(x, y)]
+
+
+class TestInPlaceUpdates:
+    """Adam updates params and moments in place, so no two of them may alias."""
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_no_shared_buffers_and_global_untouched(self, strategy, monkeypatch):
+        scn, data, run = toy_setup(strategy=strategy, rounds=1)
+        sim = FederatedSimulation(scn, data, run)
+        real_local_train = fl.local_train
+        seen = []
+
+        def guarded(client, *args, **kwargs):
+            shared = shared_buffers(sim)
+            before = sim.global_params.data.copy()
+            out = real_local_train(client, *args, **kwargs)
+            seen.append((shared, np.array_equal(sim.global_params.data, before)))
+            return out
+
+        monkeypatch.setattr(fl, "local_train", guarded)
+        sim.run_round()
+        assert seen == [([], True)] * scn.n_cells
+        assert shared_buffers(sim) == []
 
 
 class TestStrategyDegenerations:
@@ -314,16 +345,13 @@ class TestStrategyDegenerations:
         ref = init_params(sim.net, RngStream(55))
         lam = 2.5
         idx = np.arange(8)
-        pools = sim._pools_excluding(sim._eval_pools([c.params for c in sim.clients]), 0)
-        from isacfl.fl import _peer_batch
-
-        peers = _peer_batch(pools, idx)
+        interference = client.ctx.interference(sim._eval_pools([c.params for c in sim.clients]))
 
         def prox_loss(params):
-            base, _, _, _ = client.ctx.evaluate(params, idx, peers, want_grad=False)
+            base, _, _, _ = client.ctx.evaluate(params, idx, interference, want_grad=False)
             return base + 0.5 * lam * float(np.sum((params.data - ref.data) ** 2))
 
-        _, grad, _, _ = client.ctx.evaluate(client.params, idx, peers)
+        _, grad, _, _ = client.ctx.evaluate(client.params, idx, interference)
         grad = grad + lam * (client.params.data - ref.data)
         h = 1e-6
         gen = np.random.default_rng(0)

@@ -9,6 +9,7 @@ from isacfl.channel import RngStream
 from isacfl.metrics import Scenario
 from isacfl.nn import (
     AdamState,
+    LossContext,
     ModelParams,
     NetConfig,
     PowerConstraintError,
@@ -28,8 +29,10 @@ from isacfl.nn import (
     sens_channel,
     sens_features,
     unpack,
+    _mlp_backward,
+    _mlp_forward,
 )
-from oracles import make_sample
+from oracles import make_sample, oracle_comm_sinr, oracle_radar_sinr
 
 TINY_SCN = Scenario(n_cells=2, n_t=3, n_r=3, k_per_cell=(2, 2), rho_per_cell=(0.4, 0.7))
 TINY_CFG = NetConfig(n_t=3, k_max=2, hidden=4)
@@ -210,9 +213,10 @@ class TestAdam:
     def test_zero_gradient_is_noop(self):
         params = init_params(TINY_CFG, RngStream(15))
         state = AdamState.fresh(params.data.size, lr=1e-3)
-        new_params, new_state = adam_step(params, np.zeros_like(params.data), state)
-        np.testing.assert_array_equal(new_params.data, params.data)
-        assert new_state.step == 1
+        stepped, stepped_state = params.copy(), state.copy()
+        adam_step(stepped, np.zeros_like(params.data), stepped_state)
+        np.testing.assert_array_equal(stepped.data, params.data)
+        assert stepped_state.step == 1 and state.step == 0
 
     def test_first_step_hand_computed(self):
         cfg = NetConfig(n_t=1, k_max=1, hidden=1)  # not used by the math below
@@ -221,7 +225,7 @@ class TestAdam:
         grad = np.zeros_like(p.data)
         grad[:3] = [0.1, -0.2, 0.0]
         state = AdamState.fresh(p.data.size, lr=1e-4)
-        new_p, _ = adam_step(p, grad, state)
+        adam_step(p, grad, state)
         # bias-corrected first step: p - lr * g / (|g| + eps)
         lr, eps = 1e-4, 1e-8
         expected = [
@@ -229,22 +233,132 @@ class TestAdam:
             2.0 - lr * (-0.2) / (abs(-0.2) + eps),
             3.0,
         ]
-        np.testing.assert_allclose(new_p.data[:3], expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(p.data[:3], expected, rtol=0, atol=1e-15)
 
     def test_bitwise_deterministic(self):
         params = init_params(TINY_CFG, RngStream(16))
         grad = RngStream(17).generator().standard_normal(params.data.size)
         state = AdamState.fresh(params.data.size)
-        a1, s1 = adam_step(params, grad, state)
-        a2, s2 = adam_step(params, grad, state)
+        a1, s1 = params.copy(), state.copy()
+        a2, s2 = params.copy(), state.copy()
+        adam_step(a1, grad, s1)
+        adam_step(a2, grad, s2)
         np.testing.assert_array_equal(a1.data, a2.data)
         np.testing.assert_array_equal(s1.m, s2.m)
         np.testing.assert_array_equal(s1.v, s2.v)
+
+    def test_in_place_matches_functional_update(self):
+        params = init_params(TINY_CFG, RngStream(24))
+        state = AdamState.fresh(params.data.size, lr=1e-3)
+        gen = RngStream(25).generator()
+        theta, m, v = params.data.copy(), np.zeros(params.data.size), np.zeros(params.data.size)
+        b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+        for t in range(1, 51):
+            g = gen.standard_normal(theta.size)
+            g[::7] = 0.0
+            adam_step(params, g, state)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert state.step == t
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
+            np.testing.assert_array_equal(params.data, theta)
 
     def test_shape_mismatch(self):
         params = init_params(TINY_CFG, RngStream(18))
         with pytest.raises(ValueError):
             adam_step(params, np.zeros(3), AdamState.fresh(params.data.size))
+
+
+THREE_SCN = Scenario(n_cells=3, n_t=3, n_r=4, k_per_cell=(2, 3, 1), rho_per_cell=(0.4, 0.7, 0.5))
+
+
+def batch_interference(ctx, idx, pools):
+    """Interference of one batch, gathering each peer's pool entries idx % pool size."""
+    cross_c = np.zeros((len(idx), ctx.k_m))
+    den_s = np.full(len(idx), ctx.scn.sigma_s_sq)
+    for i, pool in pools.items():
+        w_i = pool[idx % pool.shape[0]]
+        s_c = np.einsum("bkn,bnj->bkj", ctx.h_cross[i][idx].conj(), w_i)
+        cross_c += np.sum(np.abs(s_c) ** 2, axis=2)
+        s_r = np.einsum("bn,bnj->bj", ctx.vg[i][idx], w_i)
+        den_s += np.sum(np.abs(s_r) ** 2, axis=1)
+    return cross_c, den_s
+
+
+class TestInterference:
+    N = 11
+    POOL_SIZES = {1: 4, 2: 3}  # neither divides N: the last block is partial
+
+    def _setup(self):
+        samples = [make_sample(THREE_SCN, 0, RngStream(30).child(s)) for s in range(self.N)]
+        ctx = LossContext.from_samples(NetConfig(n_t=3, k_max=3, hidden=4), THREE_SCN, 0, samples)
+        pools = {i: tiny_peers(31 + i, n=size, scn=THREE_SCN)[i] for i, size in self.POOL_SIZES.items()}
+        return ctx, samples, pools
+
+    def test_matches_per_batch_formula(self):
+        ctx, _, pools = self._setup()
+        hoisted = ctx.interference(pools)
+        for idx in (np.array([7, 2, 10, 3, 5]), np.arange(self.N), np.array([10])):
+            for got, want in zip(hoisted, batch_interference(ctx, idx, pools)):
+                np.testing.assert_array_equal(got[idx], want)
+
+    def test_own_cell_pool_ignored(self):
+        ctx, _, pools = self._setup()
+        with_own = {0: tiny_peers(40, n=5, scn=THREE_SCN, m=1)[0], **pools}
+        for got, want in zip(ctx.interference(with_own), ctx.interference(pools)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_matches_oracle_sinr(self):
+        ctx, samples, pools = self._setup()
+        cross_c, den_s = ctx.interference(pools)
+        for s, sample in enumerate(samples):
+            w = [None] + [pools[i][s % size] for i, size in self.POOL_SIZES.items()]
+            for k in range(ctx.k_m):
+                # only user k's own beam is on, so the oracle SINR is num / (inter + noise)
+                w[0] = np.zeros((THREE_SCN.n_t, ctx.k_m), dtype=complex)
+                w[0][:, k] = sample.comm_direct[k]
+                num = abs(np.vdot(sample.comm_direct[k], w[0][:, k])) ** 2
+                inter = num / oracle_comm_sinr(THREE_SCN, [sample], w, 0, k) - THREE_SCN.sigma_c_sq
+                np.testing.assert_allclose(cross_c[s, k], inter, rtol=1e-9)
+            p_num = np.sum(np.abs(ctx.u[s].conj() @ w[0]) ** 2)
+            den = THREE_SCN.n_r * p_num / oracle_radar_sinr(THREE_SCN, [sample], w, 0)
+            np.testing.assert_allclose(den_s[s], den, rtol=1e-9)
+
+
+class TestBackwardBuffer:
+    @pytest.mark.parametrize("cfg, batch", [(TINY_CFG, 3), (NetConfig(n_t=8, k_max=4, hidden=256), 64)])
+    def test_flat_gradient_matches_concatenated_layers(self, cfg, batch):
+        params = init_params(cfg, RngStream(26))
+        gen = np.random.default_rng(27)
+        xc = gen.standard_normal((batch, cfg.comm_in_dim))
+        xs = gen.standard_normal((batch, cfg.sens_in_dim))
+        g_y = gen.standard_normal((batch, cfg.out_dim))
+        p = unpack(params)
+        _, cache = _mlp_forward(p, xc, xs)
+        got = _mlp_backward(p, cache, g_y, cfg)
+
+        xc, xs, zc, _, zs, _, af, zf, f = cache
+        g_zf = (g_y @ p["out"][0].T) * (zf > 0.0)
+        g_af = g_zf @ p["fusion"][0].T
+        g_zc = g_af[:, : cfg.hidden] * (zc > 0.0)
+        g_zs = g_af[:, cfg.hidden :] * (zs > 0.0)
+        want = np.concatenate(
+            [
+                (xc.T @ g_zc).ravel(),
+                g_zc.sum(axis=0),
+                (xs.T @ g_zs).ravel(),
+                g_zs.sum(axis=0),
+                (af.T @ g_zf).ravel(),
+                g_zf.sum(axis=0),
+                (f.T @ g_y).ravel(),
+                g_y.sum(axis=0),
+            ]
+        )
+        np.testing.assert_array_equal(got, want)
 
 
 class TestInit:
