@@ -23,6 +23,7 @@ import time
 from pathlib import Path
 
 from isacfl.datagen import (
+    MIN_SAMPLES,
     SCENARIO_VARIANTS,
     DatasetFormatError,
     build_scenario,
@@ -231,7 +232,12 @@ def _cmd_gen_data(args) -> int:
     n_t = n_t if n_t is not None else 8
     n_r = n_r if n_r is not None else 8
     samples = samples if samples is not None else 20000
-    scn = build_scenario(args.scenario, n_t=n_t, n_r=n_r)
+    if samples < MIN_SAMPLES:
+        raise ConfigError(f"--samples must be >= {MIN_SAMPLES}, got {samples}")
+    try:
+        scn = build_scenario(args.scenario, n_t=n_t, n_r=n_r)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = Path(args.out) if args.out else Path("data") / args.scenario / str(args.seed)
     started = time.perf_counter()
     datasets = generate_dataset(scn, samples, args.seed)

@@ -4,6 +4,12 @@ Channels are drawn per sample from Rician fading (direct links at unit mean
 power, inter-cell links attenuated by the scenario's cross-power ratio) and
 stored at 32-bit precision; all computation happens in float64 on values that
 are exactly representable in float32, so write/read round-trips are bitwise.
+
+Each draw of sample s is still seeded from its own ``(seed, stream)``, as one
+``RngStream.generator()`` per draw would seed it; the batch samplers of
+:mod:`isacfl.channel` compute those start states in bulk and draw one draw
+kind for all samples per call. ``tests/test_datagen.py`` holds the result to
+the per-sample, per-draw loop in ``tests/oracles.py`` byte for byte.
 """
 
 from __future__ import annotations
@@ -15,13 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from isacfl.channel import RngStream, sample_rcs, sample_rician
+from isacfl.channel import RngStream, sample_rcs, sample_rician, sample_uniform
 # DatasetFormatError and DatasetVersionError are re-exported: callers catch them from here.
 from isacfl.container import ContainerReader, DatasetFormatError, DatasetVersionError, decoding, write_container
 from isacfl.metrics import ChannelSample, Scenario
 
 DATASET_MAGIC = "isacfl-dataset"
 DATASET_VERSION = 1
+
+# Fewest samples per BS that leave a non-empty 10% evaluation tail.
+MIN_SAMPLES = 10
 
 SCENARIO_VARIANTS = (
     "homogeneous",
@@ -42,21 +51,20 @@ def build_scenario(variant: str, n_t: int = 8, n_r: int = 8, **overrides) -> Sce
     """Three-cell deployment for a named experiment variant.
 
     Heterogeneous variants spread the comm/sensing trade-off weights across
-    BSs; the equal-UE variants pin every cell to two users.
+    BSs; the equal-UE variants pin every cell to two users. ``overrides``
+    (any :class:`Scenario` field) replace the preset's values.
     """
     if variant not in SCENARIO_VARIANTS:
         raise ValueError(f"unknown scenario variant {variant!r}; choose from {SCENARIO_VARIANTS}")
-    k = (2, 2, 2) if variant.startswith("equal_ue") else (2, 3, 4)
-    rho = (0.2, 0.6, 0.8) if variant.endswith("heterogeneous") else (0.5, 0.5, 0.5)
-    return Scenario(
-        n_cells=3,
-        n_t=n_t,
-        n_r=n_r,
-        k_per_cell=k,
-        rho_per_cell=rho,
-        rician_k=3.0,
-        **overrides,
-    )
+    preset = {
+        "n_cells": 3,
+        "n_t": n_t,
+        "n_r": n_r,
+        "k_per_cell": (2, 2, 2) if variant.startswith("equal_ue") else (2, 3, 4),
+        "rho_per_cell": (0.2, 0.6, 0.8) if variant.endswith("heterogeneous") else (0.5, 0.5, 0.5),
+        "rician_k": 3.0,
+    }
+    return Scenario(**{**preset, **overrides})
 
 
 @dataclass
@@ -108,33 +116,31 @@ def _f32_exact(arr: np.ndarray) -> np.ndarray:
 
 
 def generate_bs_dataset(scn: Scenario, m: int, n_samples: int, seed: int) -> BsDataset:
-    """Synthesize one BS's channel dataset, deterministic per (scenario, seed)."""
-    if n_samples < 10:
-        raise ValueError("n_samples must be >= 10 so the train/eval split is non-degenerate")
+    """Synthesize one BS's channel dataset, deterministic per (scenario, seed).
+
+    Sample s draws each channel from its own substream of
+    ``RngStream(seed).child(m).child(s)``; every draw kind is sampled for all
+    samples in one batched call.
+    """
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be >= {MIN_SAMPLES} so the train/eval split is non-degenerate")
     k_m = scn.k_per_cell[m]
     others = [i for i in range(scn.n_cells) if i != m]
-    comm_direct = np.empty((n_samples, k_m, scn.n_t), dtype=np.complex128)
-    comm_cross = {i: np.empty((n_samples, k_m, scn.n_t), dtype=np.complex128) for i in others}
-    radar_cross = {i: np.empty((n_samples, scn.n_r, scn.n_t), dtype=np.complex128) for i in others}
-    theta = np.empty(n_samples)
-    beta = np.empty(n_samples, dtype=np.complex128)
+    rng = RngStream(seed).child(m).child(np.arange(n_samples, dtype=np.uint64))
 
-    bs_rng = RngStream(seed).child(m)
-    for s in range(n_samples):
-        rng = bs_rng.child(s)
-        for k in range(k_m):
-            comm_direct[s, k] = sample_rician(rng.child(_DRAW_DIRECT + k), 1, scn.n_t, scn.rician_k, 1.0)[0]
-        for i in others:
-            for k in range(k_m):
-                comm_cross[i][s, k] = sample_rician(
-                    rng.child(_DRAW_CROSS + i * scn.k_max + k), 1, scn.n_t, scn.rician_k, scn.cross_power_ratio
-                )[0]
-        theta[s] = rng.child(_DRAW_THETA).generator().uniform(-np.pi / 2, np.pi / 2)
-        beta[s] = sample_rcs(rng.child(_DRAW_BETA), scn.alpha_s)
-        for i in others:
-            radar_cross[i][s] = sample_rician(
-                rng.child(_DRAW_RADAR + i), scn.n_r, scn.n_t, scn.rician_k, scn.cross_power_ratio
-            )
+    def links(draw: int, power: float) -> np.ndarray:
+        """(n, k_m, n_t): one 1 x n_t Rician row per user, user k on stream ``draw + k``."""
+        rows = [sample_rician(rng.child(draw + k), 1, scn.n_t, scn.rician_k, power)[:, 0] for k in range(k_m)]
+        return np.stack(rows, axis=1)
+
+    comm_direct = links(_DRAW_DIRECT, 1.0)
+    comm_cross = {i: links(_DRAW_CROSS + i * scn.k_max, scn.cross_power_ratio) for i in others}
+    theta = sample_uniform(rng.child(_DRAW_THETA), -np.pi / 2, np.pi / 2)
+    beta = sample_rcs(rng.child(_DRAW_BETA), scn.alpha_s)
+    radar_cross = {
+        i: sample_rician(rng.child(_DRAW_RADAR + i), scn.n_r, scn.n_t, scn.rician_k, scn.cross_power_ratio)
+        for i in others
+    }
     n_train = int(n_samples * 0.9)
     return BsDataset(
         scenario=scn,

@@ -431,7 +431,8 @@ class FederatedSimulation:
         pis, losses, comm, radar, util = [], [], [], [], []
         for client, params in zip(self.clients, deployed):
             idx = client.data.eval_indices
-            loss, _, r_c, r_s = client.ctx.evaluate(params, idx, client.ctx.interference(pools), want_grad=False)
+            interference = client.ctx.interference(pools, first=client.data.n_train)
+            loss, _, r_c, r_s = client.ctx.evaluate(params, idx, interference, want_grad=False)
             pis.append(client.pi)
             losses.append(loss)
             comm.append(float(np.mean(r_c)))

@@ -378,13 +378,15 @@ class LossContext:
     def n_samples(self) -> int:
         return self.h.shape[0]
 
-    def interference(self, pools: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def interference(self, pools: dict[int, np.ndarray], first: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Constant interference terms of every sample: (n, k_m) comm and (n,) radar denominators.
 
         ``pools`` maps other cells to their published (P_i, n_t, k_i)
         beamformers; sample s pairs with pool entry s % P_i, and an entry for
         this cell is ignored. Samples are walked in blocks of P_i so that each
-        block pairs with the pool as it is, without a gathered copy.
+        block pairs with the pool as it is, without a gathered copy. Only
+        samples ``first`` onwards are computed; earlier rows hold no peer
+        terms and must not be read.
         """
         n = self.n_samples
         cross_c = np.zeros((n, self.k_m))
@@ -393,9 +395,9 @@ class LossContext:
             if i == self.m:
                 continue
             size = pool.shape[0]
-            for start in range(0, n, size):
-                rows = slice(start, min(start + size, n))
-                w_i = pool[: rows.stop - start]
+            for base in range(first - first % size, n, size):
+                rows = slice(max(base, first), min(base + size, n))
+                w_i = pool[rows.start - base : rows.stop - base]
                 s_c = np.einsum("bkn,bnj->bkj", self.h_cross[i][rows].conj(), w_i)
                 cross_c[rows] += np.sum(np.abs(s_c) ** 2, axis=2)
                 s_r = np.einsum("bn,bnj->bj", self.vg[i][rows], w_i)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from isacfl.channel import RngStream, sample_rcs, sample_rician
+from isacfl.channel import PURE_LOS_K, RngStream
 from isacfl.metrics import ChannelSample, Scenario
 
 
@@ -88,6 +88,59 @@ def oracle_bs_utility(scn, samples, w, m):
 
 
 # ---------------------------------------------------------------------------
+# channel draws: one generator per draw, one draw per call
+
+
+def oracle_rician(rng: RngStream, rows: int, cols: int, k_factor: float, mean_power: float = 1.0) -> np.ndarray:
+    """One Rician matrix from ``rng.generator()``: phase, then real and imaginary scatter."""
+    gen = rng.generator()
+    phi = gen.uniform(0.0, 2.0 * np.pi)
+    los = np.exp(1j * phi) * np.ones((rows, cols))
+    if k_factor >= PURE_LOS_K:
+        return np.sqrt(mean_power) * los
+    scatter = gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))
+    scatter *= np.sqrt(0.5)
+    h = np.sqrt(k_factor / (k_factor + 1.0)) * los + np.sqrt(1.0 / (k_factor + 1.0)) * scatter
+    return np.sqrt(mean_power) * h
+
+
+def oracle_rcs(rng: RngStream, alpha_s: float) -> complex:
+    re, im = rng.generator().standard_normal(2)
+    return complex(np.sqrt(alpha_s / 2.0) * (re + 1j * im))
+
+
+def oracle_bs_dataset(scn: Scenario, m: int, n_samples: int, seed: int) -> dict[str, np.ndarray]:
+    """The arrays of ``generate_bs_dataset`` built sample by sample, draw by draw.
+
+    Keys name the arrays in file order; values are complex128/float64 before
+    the float32 rounding that the dataset applies. The substream numbers are
+    those of dataset format version 1.
+    """
+    k_m = scn.k_per_cell[m]
+    others = [i for i in range(scn.n_cells) if i != m]
+    out = {"comm_direct": np.empty((n_samples, k_m, scn.n_t), dtype=np.complex128)}
+    out.update({f"comm_cross{i}": np.empty((n_samples, k_m, scn.n_t), dtype=np.complex128) for i in others})
+    out["target_theta"] = np.empty(n_samples)
+    out["target_beta"] = np.empty(n_samples, dtype=np.complex128)
+    out.update({f"radar_cross{i}": np.empty((n_samples, scn.n_r, scn.n_t), dtype=np.complex128) for i in others})
+    bs_rng = RngStream(seed).child(m)
+    for s in range(n_samples):
+        rng = bs_rng.child(s)
+        for k in range(k_m):
+            out["comm_direct"][s, k] = oracle_rician(rng.child(k), 1, scn.n_t, scn.rician_k)[0]
+        for i in others:
+            for k in range(k_m):
+                draw = rng.child(1000 + i * scn.k_max + k)
+                out[f"comm_cross{i}"][s, k] = oracle_rician(draw, 1, scn.n_t, scn.rician_k, scn.cross_power_ratio)[0]
+        out["target_theta"][s] = rng.child(2000).generator().uniform(-np.pi / 2, np.pi / 2)
+        out["target_beta"][s] = oracle_rcs(rng.child(2001), scn.alpha_s)
+        for i in others:
+            draw = rng.child(3000 + i)
+            out[f"radar_cross{i}"][s] = oracle_rician(draw, scn.n_r, scn.n_t, scn.rician_k, scn.cross_power_ratio)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # random instance builders (seeded, shared across test modules)
 
 
@@ -110,12 +163,12 @@ def make_sample(scn: Scenario, m: int, rng: RngStream) -> ChannelSample:
     k_m = scn.k_per_cell[m]
     gen = rng.generator()
     comm_direct = np.stack(
-        [sample_rician(rng.child(10 + k), 1, scn.n_t, scn.rician_k, 1.0)[0] for k in range(k_m)]
+        [oracle_rician(rng.child(10 + k), 1, scn.n_t, scn.rician_k, 1.0)[0] for k in range(k_m)]
     )
     comm_cross = {
         i: np.stack(
             [
-                sample_rician(rng.child(100 + 10 * i + k), 1, scn.n_t, scn.rician_k, scn.cross_power_ratio)[0]
+                oracle_rician(rng.child(100 + 10 * i + k), 1, scn.n_t, scn.rician_k, scn.cross_power_ratio)[0]
                 for k in range(k_m)
             ]
         )
@@ -123,7 +176,7 @@ def make_sample(scn: Scenario, m: int, rng: RngStream) -> ChannelSample:
         if i != m
     }
     radar_cross = {
-        n: sample_rician(rng.child(200 + n), scn.n_r, scn.n_t, scn.rician_k, scn.cross_power_ratio)
+        n: oracle_rician(rng.child(200 + n), scn.n_r, scn.n_t, scn.rician_k, scn.cross_power_ratio)
         for n in range(scn.n_cells)
         if n != m
     }
@@ -132,7 +185,7 @@ def make_sample(scn: Scenario, m: int, rng: RngStream) -> ChannelSample:
         comm_direct=comm_direct,
         comm_cross=comm_cross,
         target_theta=float(gen.uniform(-np.pi / 2, np.pi / 2)),
-        target_beta=complex(sample_rcs(rng.child(300), scn.alpha_s)),
+        target_beta=oracle_rcs(rng.child(300), scn.alpha_s),
         radar_cross=radar_cross,
     )
 

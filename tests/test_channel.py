@@ -2,15 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacfl.channel import (
     RngStream,
+    _generators,
     SteeringConfig,
+    pcg64_start_states,
     sample_rcs,
     sample_rician,
+    sample_uniform,
     steering_vector,
     target_response,
 )
+from oracles import oracle_rcs, oracle_rician
 
 
 class TestSteeringVector:
@@ -139,3 +145,64 @@ class TestRngStream:
 
     def test_child_is_deterministic(self):
         assert RngStream(1, 2).child(3) == RngStream(1, 2).child(3)
+
+    def test_child_of_a_batch_is_the_batch_of_children(self):
+        parent = RngStream(42, 5)
+        index = np.array([0, 1, 7, 2**32, 2**64 - 1], dtype=np.uint64)
+        batch = parent.child(index).child(1000)
+        assert batch.stream.dtype == np.uint64
+        assert batch.stream.tolist() == [parent.child(int(i)).child(1000).stream for i in index]
+
+
+def _numpy_start(seed, stream):
+    state = RngStream(seed, stream).generator().bit_generator.state
+    return state["state"]["state"], state["state"]["inc"]
+
+
+class TestStartStates:
+    """pcg64_start_states against numpy's own SeedSequence + PCG64 seeding."""
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**32, 2**40])
+    def test_edge_streams(self, seed):
+        streams = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        got = pcg64_start_states(seed, np.array(streams, dtype=np.uint64))
+        assert got == [_numpy_start(seed, s) for s in streams]
+        # the re-seeded generator carries the whole state a fresh one starts with
+        batch = RngStream(seed, np.array(streams, dtype=np.uint64))
+        for s, gen in zip(streams, _generators(batch)):
+            assert gen.bit_generator.state == RngStream(seed, s).generator().bit_generator.state
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(-(2**70), 2**70),
+        streams=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    )
+    def test_matches_numpy(self, seed, streams):
+        got = pcg64_start_states(seed, np.array(streams, dtype=np.uint64))
+        assert got == [_numpy_start(seed, s) for s in streams]
+
+
+class TestBatchDraws:
+    """A batch of streams draws exactly what each stream draws on its own generator."""
+
+    STREAMS = RngStream(-7, 3).child(np.arange(6, dtype=np.uint64)).stream
+
+    @pytest.mark.parametrize("k_factor", [0.0, 3.0, 1e12])
+    def test_rician(self, k_factor):
+        batch = sample_rician(RngStream(-7, self.STREAMS), 3, 5, k_factor, 0.4)
+        assert batch.shape == (6, 3, 5)
+        want = np.stack([oracle_rician(RngStream(-7, int(s)), 3, 5, k_factor, 0.4) for s in self.STREAMS])
+        assert batch.tobytes() == want.tobytes()
+        single = sample_rician(RngStream(-7, int(self.STREAMS[2])), 3, 5, k_factor, 0.4)
+        assert single.tobytes() == want[2].tobytes()
+
+    def test_rcs(self):
+        batch = sample_rcs(RngStream(-7, self.STREAMS), 2.5)
+        want = np.array([oracle_rcs(RngStream(-7, int(s)), 2.5) for s in self.STREAMS])
+        assert batch.tobytes() == want.tobytes()
+        assert sample_rcs(RngStream(-7, int(self.STREAMS[4])), 2.5) == want[4]
+
+    def test_uniform(self):
+        batch = sample_uniform(RngStream(-7, self.STREAMS), -np.pi / 2, np.pi / 2)
+        want = np.array([RngStream(-7, int(s)).generator().uniform(-np.pi / 2, np.pi / 2) for s in self.STREAMS])
+        assert batch.tobytes() == want.tobytes()

@@ -81,6 +81,17 @@ class TestGenData:
             main(["gen-data", "--scenario", "banana"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--samples", "5"], ["--samples", "-3"], ["--n-t", "0"], ["--n-r", "0"]],
+        ids=["samples-5", "samples-negative", "n-t-0", "n-r-0"],
+    )
+    def test_out_of_range_setting_is_config_error(self, tmp_path, capsys, flags):
+        argv = ["gen-data", "--scenario", "heterogeneous", "--samples", "20", "--out", str(tmp_path / "d"), *flags]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_help_lists_all_variants(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen-data", "--help"])

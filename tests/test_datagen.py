@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from isacfl.datagen import (
+    SCENARIO_VARIANTS,
     DatasetFormatError,
     DatasetVersionError,
     build_scenario,
@@ -16,6 +17,7 @@ from isacfl.datagen import (
     write_bs_dataset,
     write_dataset,
 )
+from oracles import oracle_bs_dataset
 
 
 class TestScenarioVariants:
@@ -40,6 +42,15 @@ class TestScenarioVariants:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             build_scenario("ultra")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rician_k", 1e12), ("k_per_cell", (1, 2, 3)), ("rho_per_cell", (0.1, 0.9, 0.4))],
+    )
+    def test_override_replaces_preset(self, field, value):
+        scn = build_scenario("heterogeneous", n_t=3, n_r=5, **{field: value})
+        assert getattr(scn, field) == value
+        assert (scn.n_t, scn.n_r) == (3, 5)
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +187,40 @@ class TestPersistence:
         path.write_bytes(b"\x00" * 64)
         with pytest.raises(DatasetFormatError):
             read_bs_dataset(path)
+
+
+def _file_order(ds):
+    """The dataset's arrays keyed as in oracle_bs_dataset."""
+    arrays = {"comm_direct": ds.comm_direct}
+    arrays.update({f"comm_cross{i}": a for i, a in sorted(ds.comm_cross.items())})
+    arrays.update(target_theta=ds.target_theta, target_beta=ds.target_beta)
+    arrays.update({f"radar_cross{i}": a for i, a in sorted(ds.radar_cross.items())})
+    return arrays
+
+
+class TestBitwiseOracle:
+    """generate_bs_dataset against the loop that builds one generator per draw."""
+
+    @staticmethod
+    def check(scn, n_samples, seed):
+        for m in range(scn.n_cells):
+            got = _file_order(generate_bs_dataset(scn, m, n_samples, seed))
+            want = oracle_bs_dataset(scn, m, n_samples, seed)
+            assert list(got) == list(want)
+            for name, arr in want.items():
+                f32 = arr.astype(np.complex64 if np.iscomplexobj(arr) else np.float32).astype(arr.dtype)
+                assert got[name].tobytes() == f32.tobytes(), (m, name)
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**40])
+    @pytest.mark.parametrize("variant", SCENARIO_VARIANTS)
+    def test_variants_and_seeds(self, variant, seed):
+        self.check(build_scenario(variant, n_t=3, n_r=5), 12, seed)
+
+    def test_pure_los_skips_the_scatter_draw(self):
+        scn = build_scenario("heterogeneous", n_t=4, n_r=2, rician_k=1e12)
+        self.check(scn, 12, 5)
+        ds = generate_bs_dataset(scn, 0, 12, 5)
+        np.testing.assert_allclose(np.abs(ds.comm_direct), 1.0, rtol=1e-6)
 
 
 class TestStoragePrecision:

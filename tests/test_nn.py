@@ -306,6 +306,13 @@ class TestInterference:
             for got, want in zip(hoisted, batch_interference(ctx, idx, pools)):
                 np.testing.assert_array_equal(got[idx], want)
 
+    @pytest.mark.parametrize("first", [1, 3, 4, 9, 10])
+    def test_rows_from_first_match_every_row(self, first):
+        # pools of 4 and 3: first lands mid-pool, on a pool boundary, and in the last block
+        ctx, _, pools = self._setup()
+        for got, want in zip(ctx.interference(pools, first=first), ctx.interference(pools)):
+            assert got[first:].tobytes() == want[first:].tobytes()
+
     def test_own_cell_pool_ignored(self):
         ctx, _, pools = self._setup()
         with_own = {0: tiny_peers(40, n=5, scn=THREE_SCN, m=1)[0], **pools}
