@@ -114,6 +114,8 @@ def _merge_run_settings(args) -> dict:
         raise ConfigError("no dataset given (flag --dataset or config key 'dataset')")
     if settings["out"] is None:
         raise ConfigError("no output directory given (flag --out or config key 'out')")
+    if settings["checkpoint_every"] < 0:
+        raise ConfigError(f"checkpoint_every must be >= 0, got {settings['checkpoint_every']}")
     return settings
 
 
@@ -128,23 +130,24 @@ def _run_config(settings: dict) -> RunConfig:
 # metrics CSV + summary
 
 
+def _csv_line(row: dict) -> str:
+    """One metrics.csv row, for fresh and resumed files alike."""
+    return ",".join([str(row["round"]), str(row["bs"])] + [_fmt(row[k]) for k in CSV_FIELDS[2:]]) + "\n"
+
+
 def append_round_csv(fh, metrics: RoundMetrics) -> None:
     for m in range(len(metrics.pi)):
-        fh.write(
-            ",".join(
-                [
-                    str(metrics.round_index),
-                    str(m),
-                    _fmt(metrics.pi[m]),
-                    _fmt(metrics.loss[m]),
-                    _fmt(metrics.comm_rate[m]),
-                    _fmt(metrics.radar_rate[m]),
-                    _fmt(metrics.utility[m]),
-                    _fmt(metrics.system_utility),
-                ]
-            )
-            + "\n"
-        )
+        row = {
+            "round": metrics.round_index,
+            "bs": m,
+            "pi": metrics.pi[m],
+            "loss": metrics.loss[m],
+            "comm_rate": metrics.comm_rate[m],
+            "radar_rate": metrics.radar_rate[m],
+            "utility": metrics.utility[m],
+            "system_utility": metrics.system_utility,
+        }
+        fh.write(_csv_line(row))
     fh.flush()
 
 
@@ -158,7 +161,7 @@ def _start_csv(csv_path: Path, kept_rows: list[dict]):
     with open(tmp, "w", newline="") as fh:
         fh.write(",".join(CSV_FIELDS) + "\n")
         for row in kept_rows:
-            fh.write(",".join([str(row["round"]), str(row["bs"])] + [_fmt(row[k]) for k in CSV_FIELDS[2:]]) + "\n")
+            fh.write(_csv_line(row))
     os.replace(tmp, csv_path)
     return open(csv_path, "a", newline="")
 

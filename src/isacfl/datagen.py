@@ -24,7 +24,7 @@ import numpy as np
 from isacfl.channel import RngStream, sample_rcs, sample_rician, sample_uniform
 # DatasetFormatError and DatasetVersionError are re-exported: callers catch them from here.
 from isacfl.container import ContainerReader, DatasetFormatError, DatasetVersionError, decoding, write_container
-from isacfl.metrics import ChannelSample, Scenario
+from isacfl.metrics import Scenario
 
 DATASET_MAGIC = "isacfl-dataset"
 DATASET_VERSION = 1
@@ -90,22 +90,8 @@ class BsDataset:
         return self.comm_direct.shape[0]
 
     @property
-    def train_indices(self) -> np.ndarray:
-        return np.arange(self.n_train)
-
-    @property
     def eval_indices(self) -> np.ndarray:
         return np.arange(self.n_train, self.n_samples)
-
-    def sample(self, i: int) -> ChannelSample:
-        return ChannelSample(
-            cell=self.cell,
-            comm_direct=self.comm_direct[i],
-            comm_cross={j: a[i] for j, a in self.comm_cross.items()},
-            target_theta=float(self.target_theta[i]),
-            target_beta=complex(self.target_beta[i]),
-            radar_cross={j: a[i] for j, a in self.radar_cross.items()},
-        )
 
 
 def _f32_exact(arr: np.ndarray) -> np.ndarray:

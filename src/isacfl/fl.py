@@ -101,21 +101,7 @@ class NumericalError(ArithmeticError):
     """A non-finite value surfaced in training or metrics."""
 
 
-@dataclass(frozen=True)
-class EmConfig:
-    """Temperature and batching of the aggregation-weight posterior."""
-
-    kappa: float = 1.0
-    eval_batch: int = 64
-
-    def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError("kappa must be > 0")
-        if self.eval_batch < 1:
-            raise ValueError("eval_batch must be >= 1")
-
-
-def e_step(loss_global: float, loss_local: float, em: EmConfig) -> float:
+def e_step(loss_global: float, loss_local: float, kappa: float) -> float:
     """Posterior weight of the global model given both models' batch losses.
 
     Evaluated as sigmoid(kappa * (loss_local - loss_global)), which is the
@@ -123,7 +109,7 @@ def e_step(loss_global: float, loss_local: float, em: EmConfig) -> float:
     """
     if not (math.isfinite(loss_global) and math.isfinite(loss_local)):
         raise NumericalError("non-finite loss passed to the posterior")
-    x = em.kappa * (loss_local - loss_global)
+    x = kappa * (loss_local - loss_global)
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
     z = math.exp(x)
@@ -173,14 +159,9 @@ class ClientState:
     m: int
     params: ModelParams
     adam: AdamState
-    rho: float
     data: BsDataset
     ctx: LossContext
     pi: float = 0.5
-
-    @property
-    def k_m(self) -> int:
-        return self.data.scenario.k_per_cell[self.m]
 
 
 @dataclass
@@ -204,7 +185,12 @@ class RoundMetrics:
 
 @dataclass
 class RunConfig:
-    """Everything one experiment needs beyond the scenario and the data."""
+    """Everything one experiment needs beyond the scenario and the data.
+
+    ``kappa`` is the temperature of the aggregation-weight posterior, which
+    scores both models on batches of ``eval_batch`` samples drawn from the
+    first ``pi_eval_cap`` samples of each BS's evaluation slice.
+    """
 
     strategy: str = "em_pfl"
     rounds: int = 100
@@ -234,22 +220,21 @@ class RunConfig:
             raise ValueError("lambda_prox must be >= 0")
         if self.inner_steps < 1:
             raise ValueError("inner_steps must be >= 1")
+        if not self.kappa > 0:
+            raise ValueError("kappa must be > 0")
+        if self.eval_batch < 1 or self.pi_eval_cap < 1 or self.hidden < 1:
+            raise ValueError("eval_batch, pi_eval_cap, and hidden must be >= 1")
         unknown = set(self.fedper_shared) - set(layer_dims(NetConfig(1, 1, 1)))
         if unknown:
             raise ValueError(f"unknown fedper layers: {sorted(unknown)}")
-
-    @property
-    def em(self) -> EmConfig:
-        return EmConfig(kappa=self.kappa, eval_batch=self.eval_batch)
 
 
 def compute_pi(
     client: ClientState,
     global_params: ModelParams,
-    em: EmConfig,
+    run: RunConfig,
     rng: RngStream,
     interference: tuple[np.ndarray, np.ndarray],
-    eval_cap: int = 1024,
 ) -> float:
     """EM aggregation weight: how much of the global model this BS should take.
 
@@ -257,19 +242,19 @@ def compute_pi(
     slice (never the training stream) and averages the per-batch posteriors.
     ``interference`` is the client's ``ctx.interference`` of the round's pools.
     """
-    if client.data.n_samples < em.eval_batch:
+    if client.data.n_samples < run.eval_batch:
         raise ValueError(
-            f"client dataset has {client.data.n_samples} samples; need at least eval_batch={em.eval_batch}"
+            f"client dataset has {client.data.n_samples} samples; need at least eval_batch={run.eval_batch}"
         )
-    subset = client.data.eval_indices[:eval_cap]
+    subset = client.data.eval_indices[: run.pi_eval_cap]
     perm = rng.generator().permutation(subset.size)
     shuffled = subset[perm]
     lambdas = []
-    for start in range(0, shuffled.size, em.eval_batch):
-        idx = shuffled[start : start + em.eval_batch]
+    for start in range(0, shuffled.size, run.eval_batch):
+        idx = shuffled[start : start + run.eval_batch]
         loss_g, _, _, _ = client.ctx.evaluate(global_params, idx, interference, want_grad=False)
         loss_l, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)
-        lambdas.append(e_step(loss_g, loss_l, em))
+        lambdas.append(e_step(loss_g, loss_l, run.kappa))
     return m_step(lambdas)
 
 
@@ -320,28 +305,16 @@ class FederatedSimulation:
         self.global_params = init_params(self.net, self.master.child(_DOMAIN_INIT))
         self.clients = []
         for m, ds in enumerate(datasets):
-            ctx = LossContext(
-                self.net,
-                scn,
-                m,
-                h=ds.comm_direct,
-                h_cross=ds.comm_cross,
-                theta=ds.target_theta,
-                beta=ds.target_beta,
-                radar_cross=ds.radar_cross,
-            )
             self.clients.append(
                 ClientState(
                     m=m,
                     params=self.global_params.copy(),
                     adam=AdamState.fresh(param_count(self.net), lr=run.lr),
-                    rho=scn.rho_per_cell[m],
                     data=ds,
-                    ctx=ctx,
+                    ctx=LossContext(self.net, ds),
                 )
             )
         self.round_index = 0
-        self.history: list[RoundMetrics] = []
         self.spec = STRATEGIES[run.strategy]
         owned = tuple(layer_dims(self.net)) if self.spec.server_owns_all else run.fedper_shared
         self._server_mask = self._build_layer_mask(owned)
@@ -368,7 +341,7 @@ class FederatedSimulation:
         for client, params in zip(self.clients, params_by_client):
             idx = client.data.eval_indices
             pools[client.m] = forward_batch(
-                params, self.net, client.ctx.xc[idx], client.ctx.xs[idx], client.k_m, self.scn.p_t
+                params, self.net, client.ctx.xc[idx], client.ctx.xs[idx], client.ctx.k_m, self.scn.p_t
             )
         return pools
 
@@ -384,7 +357,7 @@ class FederatedSimulation:
         else:
             if spec.mix == "posterior":
                 pi_rng = self.master.child(_DOMAIN_PI).child(t).child(client.m)
-                client.pi = compute_pi(client, self.global_params, run.em, pi_rng, interference, run.pi_eval_cap)
+                client.pi = compute_pi(client, self.global_params, run, pi_rng, interference)
             else:
                 client.pi = run.pi_fixed
             client.params = mix_models(client.params, self.global_params, client.pi)
@@ -414,7 +387,6 @@ class FederatedSimulation:
         metrics = self._evaluate_round(t)
         metrics.duration_sec = time.perf_counter() - started
         metrics.check_finite()
-        self.history.append(metrics)
         self.round_index = t + 1
         return metrics
 

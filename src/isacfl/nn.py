@@ -14,13 +14,13 @@ interference terms and are treated as constants (no cross-BS gradient flow).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from isacfl.channel import RngStream
 from isacfl.container import ContainerReader, DatasetFormatError, decoding, write_container
-from isacfl.metrics import ChannelSample, Scenario, mrc_combiner
+from isacfl.datagen import BsDataset
+from isacfl.metrics import Scenario, mrc_combiner
 
 _LN2 = float(np.log(2.0))
 
@@ -177,30 +177,14 @@ def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState) -> None:
     state.step = t
 
 
-def project_power(w_raw: np.ndarray, p_t: float) -> np.ndarray:
-    """Rescale a beamformer onto the power sphere ||W||_F^2 = p_t.
-
-    The all-zero matrix is returned unchanged (nothing to scale).
-    """
-    norm = np.linalg.norm(w_raw)
-    if norm == 0.0:
-        return w_raw.copy()
-    return w_raw * (np.sqrt(p_t) / norm)
-
-
-def sens_channel(theta: float | np.ndarray, beta: complex | np.ndarray, scn: Scenario) -> np.ndarray:
-    """Effective post-combining sensing channel beta * sqrt(n_r) * b(theta).
+def sens_channel(theta: np.ndarray, beta: np.ndarray, scn: Scenario) -> np.ndarray:
+    """Effective post-combining sensing channels beta * sqrt(n_r) * b(theta): (B, n_t).
 
     With the unit-norm matched combiner at the receiver, the target echo seen
-    by the transmit side collapses to this n_t-vector.
+    by the transmit side collapses to this n_t-vector per sample.
     """
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    beta_arr = np.atleast_1d(np.asarray(beta, dtype=np.complex128))
-    idx = np.arange(scn.n_t)
-    phase = 2.0 * np.pi * scn.element_spacing * np.outer(np.sin(theta_arr), idx)
-    b = np.exp(1j * phase)  # (B, n_t)
-    u = np.sqrt(scn.n_r) * beta_arr[:, None] * b
-    return u[0] if np.isscalar(theta) or np.ndim(theta) == 0 else u
+    phase = 2.0 * np.pi * scn.element_spacing * np.outer(np.sin(theta), np.arange(scn.n_t))
+    return np.sqrt(scn.n_r) * beta[:, None] * np.exp(1j * phase)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +260,7 @@ def _reshape_to_beams(y: np.ndarray, cfg: NetConfig, k_m: int) -> np.ndarray:
 
 
 def _project_batch(w_raw: np.ndarray, p_t: float):
+    """Rescale each (n_t, k_m) beamformer onto ||W||_F^2 = p_t; all-zero ones stay zero."""
     norms = np.linalg.norm(w_raw, axis=(1, 2))
     positive = norms > 0.0
     scale = np.zeros_like(norms)
@@ -286,10 +271,10 @@ def _project_batch(w_raw: np.ndarray, p_t: float):
 
 
 def check_power(w: np.ndarray, p_t: float) -> None:
-    """Inline guard: every beamformer must satisfy ||W||_F^2 <= p_t + tol."""
+    """Inline guard: every beamformer of a (B, n_t, k_m) batch must satisfy ||W||_F^2 <= p_t + tol."""
     global _power_checks
     _power_checks += 1
-    sq = np.sum(w.real**2 + w.imag**2, axis=tuple(range(1, w.ndim))) if w.ndim > 2 else np.sum(w.real**2 + w.imag**2)
+    sq = np.sum(w.real**2 + w.imag**2, axis=(1, 2))
     if not np.all(sq <= p_t + POWER_TOL):
         raise PowerConstraintError(f"beamformer power {np.max(sq)} exceeds budget {p_t}")
 
@@ -303,76 +288,33 @@ def forward_batch(params: ModelParams, cfg: NetConfig, xc: np.ndarray, xs: np.nd
     return w
 
 
-def forward(params: ModelParams, cfg: NetConfig, scn: Scenario, sample: ChannelSample, k_m: int, p_t: float) -> np.ndarray:
-    """Single-sample beamformer (n_t, k_m) for one channel draw."""
-    if k_m > cfg.k_max:
-        raise ValueError(f"k_m={k_m} exceeds k_max={cfg.k_max}")
-    xc = comm_features(sample.comm_direct[None, :, :], cfg)
-    u = sens_channel(sample.target_theta, sample.target_beta, scn)
-    xs = sens_features(u[None, :], cfg)
-    return forward_batch(params, cfg, xc, xs, k_m, p_t)[0]
-
-
 class LossContext:
-    """Precomputed tensors for one BS's training objective over a sample set.
+    """Precomputed tensors for one BS's training objective over its dataset.
 
     Holds the direct/cross channels, network input features, and the
     combiner-projected radar leakage rows, so that repeated mini-batch
     evaluations only index and multiply.
     """
 
-    def __init__(
-        self,
-        cfg: NetConfig,
-        scn: Scenario,
-        m: int,
-        h: np.ndarray,
-        h_cross: dict[int, np.ndarray],
-        theta: np.ndarray,
-        beta: np.ndarray,
-        radar_cross: dict[int, np.ndarray],
-    ):
-        if h.shape[0] == 0:
+    def __init__(self, cfg: NetConfig, ds: BsDataset):
+        if ds.n_samples == 0:
             raise ValueError("empty sample set")
+        scn, m = ds.scenario, ds.cell
         if not 0 <= m < scn.n_cells:
             raise IndexError(f"cell index {m} out of range")
         self.cfg = cfg
         self.scn = scn
         self.m = m
         self.k_m = scn.k_per_cell[m]
-        self.h = np.asarray(h, dtype=np.complex128)  # (n, k_m, n_t)
-        self.h_cross = {i: np.asarray(a, dtype=np.complex128) for i, a in h_cross.items()}
-        theta = np.asarray(theta, dtype=np.float64)
-        beta = np.asarray(beta, dtype=np.complex128)
-        self.u = sens_channel(theta, beta, scn)  # (n, n_t)
+        self.h = ds.comm_direct  # (n, k_m, n_t)
+        self.h_cross = ds.comm_cross
+        self.u = sens_channel(ds.target_theta, ds.target_beta, scn)  # (n, n_t)
         # Combiner rows v^H G for every interfering BS; constant per sample.
         rx = scn.rx_steering()
-        v = np.stack([mrc_combiner(t, rx) for t in theta])  # (n, n_r)
-        self.vg = {
-            n_cell: np.einsum("br,brn->bn", v.conj(), np.asarray(g, dtype=np.complex128))
-            for n_cell, g in radar_cross.items()
-        }
+        v = np.stack([mrc_combiner(t, rx) for t in ds.target_theta])  # (n, n_r)
+        self.vg = {n_cell: np.einsum("br,brn->bn", v.conj(), g) for n_cell, g in ds.radar_cross.items()}
         self.xc = comm_features(self.h, cfg)
         self.xs = sens_features(self.u, cfg)
-
-    @classmethod
-    def from_samples(cls, cfg: NetConfig, scn: Scenario, m: int, samples: Sequence[ChannelSample]) -> "LossContext":
-        if len(samples) == 0:
-            raise ValueError("empty sample set")
-        return cls(
-            cfg,
-            scn,
-            m,
-            h=np.stack([s.comm_direct for s in samples]),
-            h_cross={
-                i: np.stack([s.comm_cross[i] for s in samples]) for i in range(scn.n_cells) if i != m
-            },
-            theta=np.array([s.target_theta for s in samples]),
-            beta=np.array([s.target_beta for s in samples], dtype=np.complex128),
-            radar_cross={
-                n: np.stack([s.radar_cross[n] for s in samples]) for n in range(scn.n_cells) if n != m
-            },
-        )
 
     @property
     def n_samples(self) -> int:
@@ -480,24 +422,6 @@ class LossContext:
 
         grad = _mlp_backward(p, cache, g_y, cfg)
         return loss, grad, r_c, r_s
-
-
-def loss_and_grad(
-    params: ModelParams,
-    cfg: NetConfig,
-    scn: Scenario,
-    batch: Sequence[ChannelSample],
-    m: int,
-    peers_w: dict[int, np.ndarray] | None = None,
-) -> tuple[float, np.ndarray]:
-    """Mean unsupervised loss over a batch and its exact parameter gradient.
-
-    ``peers_w`` maps every other cell index to a (B, n_t, k_i) array of that
-    BS's beamformers, one per batch sample; they are held constant.
-    """
-    ctx = LossContext.from_samples(cfg, scn, m, batch)
-    loss, grad, _, _ = ctx.evaluate(params, np.arange(len(batch)), ctx.interference(peers_w or {}))
-    return loss, grad
 
 
 # ---------------------------------------------------------------------------

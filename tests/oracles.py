@@ -10,7 +10,9 @@ import math
 import numpy as np
 
 from isacfl.channel import PURE_LOS_K, RngStream
+from isacfl.datagen import BsDataset
 from isacfl.metrics import ChannelSample, Scenario
+from isacfl.nn import LossContext
 
 
 def _hermitian_dot(h, w_col):
@@ -211,3 +213,35 @@ def random_instance(seed: int, max_cells=3, max_n=4, max_k=3):
     samples = [make_sample(scn, m, RngStream(seed, 77 + m)) for m in range(scn.n_cells)]
     w = random_beamformers(scn, gen)
     return scn, samples, w
+
+
+# ---------------------------------------------------------------------------
+# adapters from per-sample draws to the library's batched loss (not oracles:
+# they run the library code under test)
+
+
+def dataset_from_samples(scn: Scenario, m: int, samples) -> BsDataset:
+    """Cell m's ``ChannelSample``s stacked into a ``BsDataset``, all of them training samples."""
+    others = [i for i in range(scn.n_cells) if i != m]
+    return BsDataset(
+        scenario=scn,
+        cell=m,
+        seed=0,
+        n_train=len(samples),
+        comm_direct=np.stack([s.comm_direct for s in samples]),
+        comm_cross={i: np.stack([s.comm_cross[i] for s in samples]) for i in others},
+        radar_cross={i: np.stack([s.radar_cross[i] for s in samples]) for i in others},
+        target_theta=np.array([s.target_theta for s in samples]),
+        target_beta=np.array([s.target_beta for s in samples], dtype=np.complex128),
+    )
+
+
+def loss_and_grad(params, cfg, scn: Scenario, batch, m: int, peers_w):
+    """Mean loss over a batch of samples and its exact parameter gradient.
+
+    ``peers_w`` maps every other cell index to a (B, n_t, k_i) array of that
+    BS's beamformers, one per batch sample; they are held constant.
+    """
+    ctx = LossContext(cfg, dataset_from_samples(scn, m, batch))
+    loss, grad, _, _ = ctx.evaluate(params, np.arange(len(batch)), ctx.interference(peers_w))
+    return loss, grad

@@ -28,10 +28,11 @@ import pytest
 from isacfl.channel import RngStream
 from isacfl.cli import DESK_PRESET, main
 from isacfl.datagen import build_scenario, generate_dataset
-from isacfl.fl import EmConfig, FederatedSimulation, RunConfig, compute_pi, e_step, m_step
+from isacfl.fl import FederatedSimulation, RunConfig, compute_pi, e_step, m_step
 from isacfl.metrics import comm_sinr, comm_sum_rate, radar_rate, radar_sinr
-from isacfl.nn import init_params, loss_and_grad, power_checks_performed
+from isacfl.nn import init_params, power_checks_performed
 from oracles import (
+    loss_and_grad,
     oracle_comm_sinr,
     oracle_comm_sum_rate,
     oracle_radar_rate,
@@ -217,18 +218,17 @@ class TestCriterion2MetricOracles:
 class TestCriterion3EmAlgebra:
     def test_e_step_grid_and_m_step(self):
         for kappa in (0.1, 1.0, 10.0, 100.0):
-            em = EmConfig(kappa=kappa)
             for lg in (-10.0, -1.0, 0.0, 0.5, 10.0):
                 for ll in (-10.0, -1.0, 0.0, 0.5, 10.0):
-                    got = e_step(lg, ll, em)
+                    got = e_step(lg, ll, kappa)
                     x = kappa * (ll - lg)
                     expected = 1.0 / (1.0 + math.exp(-x)) if abs(x) < 700 else (1.0 if x > 0 else 0.0)
                     assert abs(got - expected) < 1e-12
                     assert math.isfinite(got)
         # |delta l| * kappa up to 1000 without overflow
         for x in (100.0, 500.0, 1000.0):
-            assert math.isfinite(e_step(x, 0.0, EmConfig(kappa=1.0)))
-            assert math.isfinite(e_step(0.0, x, EmConfig(kappa=1.0)))
+            assert math.isfinite(e_step(x, 0.0, 1.0))
+            assert math.isfinite(e_step(0.0, x, 1.0))
         gen = np.random.default_rng(1)
         for _ in range(100):
             lams = list(gen.uniform(0, 1, size=gen.integers(1, 20)))
@@ -242,11 +242,11 @@ class TestCriterion3EmAlgebra:
         client = sim.clients[0]
         other = init_params(sim.net, RngStream(123))
         interference = client.ctx.interference(sim._eval_pools([c.params for c in sim.clients]))
-        pi = compute_pi(client, other, EmConfig(), RngStream(9), interference)
+        pi = compute_pi(client, other, run, RngStream(9), interference)
         idx = client.data.eval_indices
         lg, _, _, _ = client.ctx.evaluate(other, idx, interference, want_grad=False)
         ll, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)
-        assert abs(pi - e_step(lg, ll, EmConfig())) < 1e-15
+        assert abs(pi - e_step(lg, ll, run.kappa)) < 1e-15
         _report(3, "EM algebra", "sigmoid grid, m-step mean, B=1 degenerate")
 
 

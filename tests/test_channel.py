@@ -121,7 +121,7 @@ class TestSampleRician:
 class TestSampleRcs:
     @pytest.mark.parametrize("alpha", [1.0, 4.0])
     def test_mean_square(self, alpha):
-        draws = np.array([sample_rcs(RngStream(10, i), alpha) for i in range(100_000)])
+        draws = sample_rcs(RngStream(10, np.arange(100_000, dtype=np.uint64)), alpha)
         assert abs(np.mean(np.abs(draws) ** 2) - alpha) < 0.02 * alpha
 
     def test_deterministic(self):

@@ -237,11 +237,34 @@ class TestBadSettings:
             (["--rounds", "0"], ""),
             (["--lr", "-1"], ""),
             (["--pi-fixed", "1.5"], ""),
+            (["--kappa", "0"], ""),
+            (["--strategy", "fedavg", "--kappa", "-1"], ""),
+            (["--eval-batch", "0"], ""),
+            (["--hidden", "0"], ""),
+            (["--pi-eval-cap", "0"], ""),
+            (["--pi-eval-cap", "-5"], ""),
+            (["--checkpoint-every", "-3"], ""),
             ([], "rounds = 0\n"),
             ([], "strategy = sgd\n"),
             ([], "threads = 2\n"),
+            ([], "checkpoint_every = -1\n"),
         ],
-        ids=["flag-rounds-0", "flag-lr-negative", "flag-pi-fixed", "config-rounds-0", "config-strategy", "config-threads"],
+        ids=[
+            "flag-rounds-0",
+            "flag-lr-negative",
+            "flag-pi-fixed",
+            "flag-kappa-0",
+            "flag-kappa-negative-fedavg",
+            "flag-eval-batch-0",
+            "flag-hidden-0",
+            "flag-pi-eval-cap-0",
+            "flag-pi-eval-cap-negative",
+            "flag-checkpoint-every-negative",
+            "config-rounds-0",
+            "config-strategy",
+            "config-threads",
+            "config-checkpoint-every-negative",
+        ],
     )
     def test_out_of_range_setting_is_config_error(self, toy_dataset, tmp_path, capsys, flags, config):
         cfg = tmp_path / "exp.cfg"

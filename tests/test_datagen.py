@@ -112,12 +112,6 @@ class TestGeneration:
             for arr in (ds.comm_direct, ds.target_theta, ds.target_beta):
                 assert np.all(np.isfinite(arr.view(np.float64)))
 
-    def test_sample_view(self, small_data):
-        s = small_data[1].sample(3)
-        assert s.cell == 1
-        np.testing.assert_array_equal(s.comm_direct, small_data[1].comm_direct[3])
-        assert s.target_theta == float(small_data[1].target_theta[3])
-
 
 class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path, small_data):

@@ -12,7 +12,6 @@ from isacfl.channel import RngStream
 from isacfl.datagen import build_scenario, generate_dataset
 from isacfl.fl import (
     STRATEGIES,
-    EmConfig,
     FederatedSimulation,
     NumericalError,
     RunConfig,
@@ -25,9 +24,6 @@ from isacfl.fl import (
 )
 from isacfl.nn import ModelParams, NetConfig, init_params, param_count
 
-EM = EmConfig()
-
-
 def toy_setup(variant="heterogeneous", n_samples=80, seed=1, **run_kw):
     scn = build_scenario(variant, n_t=3, n_r=3)
     data = generate_dataset(scn, n_samples, seed=seed)
@@ -39,31 +35,31 @@ def toy_setup(variant="heterogeneous", n_samples=80, seed=1, **run_kw):
 
 class TestEStep:
     def test_symmetry(self):
-        assert e_step(1.7, 1.7, EM) == 0.5
+        assert e_step(1.7, 1.7, 1.0) == 0.5
 
     def test_sigmoid_closed_form(self):
-        assert abs(e_step(1.0, 2.0, EM) - 1.0 / (1.0 + math.exp(-1.0))) < 1e-12
-        assert abs(e_step(1.0, 2.0, EM) - 0.7310585786300049) < 1e-12
+        assert abs(e_step(1.0, 2.0, 1.0) - 1.0 / (1.0 + math.exp(-1.0))) < 1e-12
+        assert abs(e_step(1.0, 2.0, 1.0) - 0.7310585786300049) < 1e-12
 
     def test_extreme_no_overflow(self):
-        lam = e_step(1000.0, 0.0, EM)  # global much worse
+        lam = e_step(1000.0, 0.0, 1.0)  # global much worse
         assert math.isfinite(lam) and 0.0 <= lam < 1e-300
-        lam_hi = e_step(0.0, 1000.0, EM)
+        lam_hi = e_step(0.0, 1000.0, 1.0)
         assert lam_hi > 1.0 - 1e-12 and lam_hi <= 1.0
 
     def test_nan_rejected(self):
         with pytest.raises(NumericalError):
-            e_step(float("nan"), 0.0, EM)
+            e_step(float("nan"), 0.0, 1.0)
 
     def test_monotonicity(self):
-        base = e_step(1.0, 1.5, EM)
-        assert e_step(1.1, 1.5, EM) < base  # worse global -> smaller weight
-        assert e_step(1.0, 1.6, EM) > base  # worse local -> larger weight
+        base = e_step(1.0, 1.5, 1.0)
+        assert e_step(1.1, 1.5, 1.0) < base  # worse global -> smaller weight
+        assert e_step(1.0, 1.6, 1.0) > base  # worse local -> larger weight
 
     def test_kappa_sharpens(self):
         for lg, ll in ((1.0, 1.4), (2.0, 1.1)):
-            mild = e_step(lg, ll, EmConfig(kappa=0.5))
-            sharp = e_step(lg, ll, EmConfig(kappa=4.0))
+            mild = e_step(lg, ll, 0.5)
+            sharp = e_step(lg, ll, 4.0)
             assert abs(sharp - 0.5) > abs(mild - 0.5)
 
 
@@ -142,7 +138,7 @@ class TestComputePi:
         sim = FederatedSimulation(scn, data, run)
         client = sim.clients[0]
         pools = sim._eval_pools([c.params for c in sim.clients])
-        pi = compute_pi(client, sim.global_params, EM, RngStream(5), client.ctx.interference(pools))
+        pi = compute_pi(client, sim.global_params, run, RngStream(5), client.ctx.interference(pools))
         assert pi == 0.5
 
     def test_single_batch_equals_e_step(self):
@@ -153,11 +149,11 @@ class TestComputePi:
         other = init_params(sim.net, RngStream(99))
         pools = sim._eval_pools([c.params for c in sim.clients])
         interference = client.ctx.interference(pools)
-        pi = compute_pi(client, other, EM, RngStream(6), interference)
+        pi = compute_pi(client, other, run, RngStream(6), interference)
         idx = client.data.eval_indices
         lg, _, _, _ = client.ctx.evaluate(other, idx, interference, want_grad=False)
         ll, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)
-        assert abs(pi - e_step(lg, ll, EM)) < 1e-15
+        assert abs(pi - e_step(lg, ll, run.kappa)) < 1e-15
 
     def test_much_worse_global_yields_tiny_pi(self):
         # single-cell, sensing-heavy: a zero model scores loss 0, the trained
@@ -175,16 +171,15 @@ class TestComputePi:
         ll, _, _, _ = client.ctx.evaluate(client.params, idx, no_peers, want_grad=False)
         assert ll < -5.0  # utility above 5 bits
         zero_global = ModelParams(np.zeros(param_count(sim.net)), sim.net)
-        pi = compute_pi(client, zero_global, EM, RngStream(8), no_peers)
+        pi = compute_pi(client, zero_global, run, RngStream(8), no_peers)
         assert pi < 0.01
 
     def test_dataset_too_small(self):
-        scn, data, run = toy_setup(n_samples=40)
+        scn, data, run = toy_setup(n_samples=40, eval_batch=64)
         sim = FederatedSimulation(scn, data, run)
-        big_batch = EmConfig(eval_batch=64)
         client = sim.clients[0]
         with pytest.raises(ValueError):
-            compute_pi(client, sim.global_params, big_batch, RngStream(9), client.ctx.interference({}))
+            compute_pi(client, sim.global_params, run, RngStream(9), client.ctx.interference({}))
 
 
 class TestLocalTrain:
@@ -204,7 +199,7 @@ class TestLocalTrain:
         sim = FederatedSimulation(scn, data, run)
         client = sim.clients[0]
         interference = client.ctx.interference(sim._eval_pools([c.params for c in sim.clients]))
-        idx = client.data.train_indices
+        idx = np.arange(client.data.n_train)
         before, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)
         local_train(client, 1, len(idx), interference, RngStream(11))
         after, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)

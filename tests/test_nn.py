@@ -1,5 +1,6 @@
 """Network forward/backward, projection, Adam, and parameter serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,14 +17,12 @@ from isacfl.nn import (
     adam_step,
     check_power,
     comm_features,
-    forward,
+    forward_batch,
     init_params,
     layer_dims,
     load_adam,
     load_params,
-    loss_and_grad,
     param_count,
-    project_power,
     save_adam,
     save_params,
     sens_channel,
@@ -31,8 +30,9 @@ from isacfl.nn import (
     unpack,
     _mlp_backward,
     _mlp_forward,
+    _project_batch,
 )
-from oracles import make_sample, oracle_comm_sinr, oracle_radar_sinr
+from oracles import dataset_from_samples, loss_and_grad, make_sample, oracle_comm_sinr, oracle_radar_sinr
 
 TINY_SCN = Scenario(n_cells=2, n_t=3, n_r=3, k_per_cell=(2, 2), rho_per_cell=(0.4, 0.7))
 TINY_CFG = NetConfig(n_t=3, k_max=2, hidden=4)
@@ -56,6 +56,12 @@ def tiny_peers(seed, n=3, scn=TINY_SCN, m=0):
     return peers
 
 
+def one_row_features(sample, cfg=TINY_CFG, scn=TINY_SCN):
+    """Network inputs (xc, xs) of one sample, as a batch of one."""
+    u = sens_channel(np.array([sample.target_theta]), np.array([sample.target_beta]), scn)
+    return comm_features(sample.comm_direct[None, :, :], cfg), sens_features(u, cfg)
+
+
 def finite_difference_grad(params, cfg, scn, batch, m, peers, h=1e-5):
     fd = np.zeros_like(params.data)
     for i in range(fd.size):
@@ -72,23 +78,23 @@ def finite_difference_grad(params, cfg, scn, batch, m, peers, h=1e-5):
 class TestForward:
     def test_zero_params_give_zero_beamformer(self):
         params = ModelParams(np.zeros(param_count(TINY_CFG)), TINY_CFG)
-        sample = tiny_batch(1)[0]
-        w = forward(params, TINY_CFG, TINY_SCN, sample, k_m=2, p_t=1.0)
-        np.testing.assert_array_equal(w, np.zeros((3, 2), dtype=complex))
+        xc, xs = one_row_features(tiny_batch(1)[0])
+        w = forward_batch(params, TINY_CFG, xc, xs, k_m=2, p_t=1.0)
+        np.testing.assert_array_equal(w, np.zeros((1, 3, 2), dtype=complex))
         loss, grad = loss_and_grad(params, TINY_CFG, TINY_SCN, tiny_batch(1), 0, tiny_peers(2))
         assert loss == 0.0  # both rates vanish at W = 0
 
     def test_output_is_on_power_sphere(self):
         params = init_params(TINY_CFG, RngStream(3))
-        for i, sample in enumerate(tiny_batch(4, n=8)):
-            w = forward(params, TINY_CFG, TINY_SCN, sample, k_m=2, p_t=0.7)
-            assert abs(np.linalg.norm(w) ** 2 - 0.7) < 1e-9
+        for sample in tiny_batch(4, n=8):
+            w = forward_batch(params, TINY_CFG, *one_row_features(sample), k_m=2, p_t=0.7)
+            assert abs(np.linalg.norm(w[0]) ** 2 - 0.7) < 1e-9
 
     def test_against_scalar_reimplementation(self):
         """Independent forward pass with explicit Python loops."""
         params = init_params(TINY_CFG, RngStream(5))
         sample = tiny_batch(6)[0]
-        got = forward(params, TINY_CFG, TINY_SCN, sample, k_m=2, p_t=1.0)
+        got = forward_batch(params, TINY_CFG, *one_row_features(sample), k_m=2, p_t=1.0)[0]
 
         layers = unpack(params)
 
@@ -108,7 +114,7 @@ class TestForward:
             for k in range(TINY_CFG.k_max):
                 h = sample.comm_direct[k][n] if k < sample.comm_direct.shape[0] else 0.0
                 xc.extend([complex(h).real, complex(h).imag])
-        u = sens_channel(sample.target_theta, sample.target_beta, TINY_SCN)
+        u = sens_channel(np.array([sample.target_theta]), np.array([sample.target_beta]), TINY_SCN)[0]
         xs = []
         for n in range(TINY_CFG.n_t):
             xs.extend([complex(u[n]).real, complex(u[n]).imag])
@@ -125,25 +131,26 @@ class TestForward:
 
 class TestProjection:
     def test_zero_matrix_unchanged(self):
-        w = np.zeros((3, 2), dtype=complex)
-        np.testing.assert_array_equal(project_power(w, 1.0), w)
+        w = np.zeros((1, 3, 2), dtype=complex)
+        out, _, _ = _project_batch(w, 1.0)
+        np.testing.assert_array_equal(out, w)
 
     def test_rescales_to_budget(self):
         gen = np.random.default_rng(0)
-        w = gen.standard_normal((4, 3)) + 1j * gen.standard_normal((4, 3))
+        w = gen.standard_normal((1, 4, 3)) + 1j * gen.standard_normal((1, 4, 3))
         w *= 2.0 / np.linalg.norm(w)  # norm^2 = 4
-        out = project_power(w, 1.0)
+        out, _, _ = _project_batch(w, 1.0)
         assert abs(np.linalg.norm(out) ** 2 - 1.0) < 1e-12
 
     def test_always_rescale_variant(self):
         gen = np.random.default_rng(1)
-        w = gen.standard_normal((4, 2)) + 1j * gen.standard_normal((4, 2))
+        w = gen.standard_normal((1, 4, 2)) + 1j * gen.standard_normal((1, 4, 2))
         w *= 0.1 / np.linalg.norm(w)  # well inside the budget
-        out = project_power(w, 1.0)
+        out, _, _ = _project_batch(w, 1.0)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_check_power_raises(self):
-        w = np.ones((2, 2), dtype=complex)
+        w = np.ones((1, 2, 2), dtype=complex)
         with pytest.raises(PowerConstraintError):
             check_power(w, 1.0)
 
@@ -182,8 +189,12 @@ class TestGradient:
 
     def test_empty_batch_rejected(self):
         params = init_params(TINY_CFG, RngStream(12))
+        ds = dataset_from_samples(TINY_SCN, 0, tiny_batch(12, n=1))
+        ctx = LossContext(TINY_CFG, ds)
         with pytest.raises(ValueError):
-            loss_and_grad(params, TINY_CFG, TINY_SCN, [], 0, {})
+            ctx.evaluate(params, np.array([], dtype=int), ctx.interference({}))
+        with pytest.raises(ValueError):
+            LossContext(TINY_CFG, dataclasses.replace(ds, comm_direct=ds.comm_direct[:0]))
 
     def test_padding_neutrality(self):
         """Zeroing output-layer rows of truncated columns changes nothing."""
@@ -295,7 +306,7 @@ class TestInterference:
 
     def _setup(self):
         samples = [make_sample(THREE_SCN, 0, RngStream(30).child(s)) for s in range(self.N)]
-        ctx = LossContext.from_samples(NetConfig(n_t=3, k_max=3, hidden=4), THREE_SCN, 0, samples)
+        ctx = LossContext(NetConfig(n_t=3, k_max=3, hidden=4), dataset_from_samples(THREE_SCN, 0, samples))
         pools = {i: tiny_peers(31 + i, n=size, scn=THREE_SCN)[i] for i, size in self.POOL_SIZES.items()}
         return ctx, samples, pools
 
@@ -435,7 +446,7 @@ class TestFeatures:
 
         scn = TINY_SCN
         theta, beta = 0.42, 0.8 - 0.3j
-        u = sens_channel(theta, beta, scn)
+        u = sens_channel(np.array([theta]), np.array([beta]), scn)[0]
         g = target_response(beta, theta, scn.rx_steering(), scn.tx_steering())
         v = mrc_combiner(theta, scn.rx_steering())
         gen = np.random.default_rng(23)
