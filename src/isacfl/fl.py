@@ -44,7 +44,6 @@ from isacfl.metrics import Scenario
 from isacfl.nn import (
     AdamState,
     LossContext,
-    ModelParams,
     NetConfig,
     adam_step,
     forward_batch,
@@ -55,6 +54,7 @@ from isacfl.nn import (
     param_count,
     save_adam,
     save_params,
+    unpack,
 )
 
 
@@ -68,22 +68,21 @@ class Strategy:
     model alone (pi = 0). ``proximal`` adds pFedMe's pull toward the global
     model, with ``inner_steps`` steps per batch, to the local objective.
     ``server_owns_all`` gives the server every layer; otherwise it owns only
-    ``RunConfig.fedper_shared`` and each BS keeps the rest. ``deploy_merged``
-    deploys the server-owned layers of the global model over the BS's own
-    model; otherwise the BS deploys its own model.
+    ``RunConfig.fedper_shared`` and each BS keeps the rest. A BS that takes
+    the server-owned layers also deploys them over its own model; every other
+    BS deploys its own model.
     """
 
     mix: str
     proximal: bool = False
     server_owns_all: bool = True
-    deploy_merged: bool = False
 
 
 STRATEGIES = {
     "em_pfl": Strategy(mix="posterior"),
     "fixed_pfl": Strategy(mix="fixed"),
-    "fedavg": Strategy(mix="take", deploy_merged=True),
-    "fedper": Strategy(mix="take", server_owns_all=False, deploy_merged=True),
+    "fedavg": Strategy(mix="take"),
+    "fedper": Strategy(mix="take", server_owns_all=False),
     "pfedme": Strategy(mix="keep", proximal=True),
     "local_only": Strategy(mix="keep"),
 }
@@ -125,16 +124,16 @@ def m_step(lambdas: list[float]) -> float:
     return float(sum(lambdas) / len(lambdas))
 
 
-def mix_models(local: ModelParams, global_: ModelParams, pi: float) -> ModelParams:
+def mix_models(local: np.ndarray, global_: np.ndarray, pi: float) -> np.ndarray:
     """Convex combination (1 - pi) * local + pi * global."""
-    if local.cfg != global_.cfg:
+    if local.shape != global_.shape:
         raise ValueError("cannot mix models with different layouts")
     if not 0.0 <= pi <= 1.0:
         raise ValueError(f"pi must lie in [0, 1], got {pi}")
-    return ModelParams((1.0 - pi) * local.data + pi * global_.data, local.cfg)
+    return (1.0 - pi) * local + pi * global_
 
 
-def fedavg_aggregate(client_params: list[ModelParams], weights: list[float]) -> ModelParams:
+def fedavg_aggregate(client_params: list[np.ndarray], weights: list[float]) -> np.ndarray:
     """Weighted average of client models (weights are local dataset sizes)."""
     if not client_params:
         raise ValueError("nothing to aggregate")
@@ -142,14 +141,13 @@ def fedavg_aggregate(client_params: list[ModelParams], weights: list[float]) -> 
         raise ValueError("one weight per client required")
     if any(w < 0 for w in weights) or not any(w > 0 for w in weights):
         raise ValueError("weights must be non-negative and not all zero")
-    cfg = client_params[0].cfg
-    if any(p.cfg != cfg for p in client_params):
+    if any(p.shape != client_params[0].shape for p in client_params):
         raise ValueError("cannot aggregate models with different layouts")
     total = float(sum(weights))
-    out = np.zeros_like(client_params[0].data)
+    out = np.zeros_like(client_params[0])
     for p, w in zip(client_params, weights):
-        out += (w / total) * p.data
-    return ModelParams(out, cfg)
+        out += (w / total) * p
+    return out
 
 
 @dataclass
@@ -157,7 +155,7 @@ class ClientState:
     """One BS: personalized model, optimizer, data, and its last pi."""
 
     m: int
-    params: ModelParams
+    params: np.ndarray
     adam: AdamState
     data: BsDataset
     ctx: LossContext
@@ -231,7 +229,7 @@ class RunConfig:
 
 def compute_pi(
     client: ClientState,
-    global_params: ModelParams,
+    global_params: np.ndarray,
     run: RunConfig,
     rng: RngStream,
     interference: tuple[np.ndarray, np.ndarray],
@@ -264,7 +262,7 @@ def local_train(
     batch_size: int,
     interference: tuple[np.ndarray, np.ndarray],
     rng: RngStream,
-    prox_ref: ModelParams | None = None,
+    prox_ref: np.ndarray | None = None,
     lambda_prox: float = 0.0,
     inner_steps: int = 1,
 ) -> ClientState:
@@ -287,7 +285,7 @@ def local_train(
             for _ in range(inner_steps):
                 _, grad, _, _ = client.ctx.evaluate(client.params, idx, interference)
                 if prox_ref is not None and lambda_prox != 0.0:
-                    grad += lambda_prox * (client.params.data - prox_ref.data)
+                    grad += lambda_prox * (client.params - prox_ref)
                 adam_step(client.params, grad, client.adam)
     return client
 
@@ -317,25 +315,17 @@ class FederatedSimulation:
         self.round_index = 0
         self.spec = STRATEGIES[run.strategy]
         owned = tuple(layer_dims(self.net)) if self.spec.server_owns_all else run.fedper_shared
-        self._server_mask = self._build_layer_mask(owned)
+        self._server_mask = np.zeros(param_count(self.net), dtype=bool)
+        for name, (w, b) in unpack(self._server_mask, self.net).items():
+            w[...] = b[...] = name in owned
 
-    def _build_layer_mask(self, layers: tuple[str, ...]) -> np.ndarray:
-        mask = np.zeros(param_count(self.net), dtype=bool)
-        offset = 0
-        for name, (fi, fo) in layer_dims(self.net).items():
-            size = fi * fo + fo
-            if name in layers:
-                mask[offset : offset + size] = True
-            offset += size
-        return mask
-
-    def _take_server_layers(self, base: ModelParams, source: ModelParams) -> ModelParams:
+    def _take_server_layers(self, base: np.ndarray, source: np.ndarray) -> np.ndarray:
         """``base`` with its server-owned layers replaced by those of ``source``."""
         merged = base.copy()
-        merged.data[self._server_mask] = source.data[self._server_mask]
+        merged[self._server_mask] = source[self._server_mask]
         return merged
 
-    def _eval_pools(self, params_by_client: list[ModelParams]) -> dict[int, np.ndarray]:
+    def _eval_pools(self, params_by_client: list[np.ndarray]) -> dict[int, np.ndarray]:
         """Each BS's beamformers on its evaluation slice (the published pool)."""
         pools = {}
         for client, params in zip(self.clients, params_by_client):
@@ -390,9 +380,9 @@ class FederatedSimulation:
         self.round_index = t + 1
         return metrics
 
-    def _deployed_params(self, client: ClientState) -> ModelParams:
+    def _deployed_params(self, client: ClientState) -> np.ndarray:
         """The model a BS actually runs after the round closes (module doc, step 6)."""
-        if self.spec.deploy_merged:
+        if self.spec.mix == "take":
             return self._take_server_layers(client.params, self.global_params)
         return client.params
 
@@ -420,14 +410,8 @@ class FederatedSimulation:
             system_utility=float(sum(util)),
         )
 
-    def run_rounds(self, rounds: int, on_round=None) -> list[RoundMetrics]:
-        out = []
-        for _ in range(rounds):
-            metrics = self.run_round()
-            out.append(metrics)
-            if on_round is not None:
-                on_round(self, metrics)
-        return out
+    def run_rounds(self, rounds: int) -> list[RoundMetrics]:
+        return [self.run_round() for _ in range(rounds)]
 
     # -- checkpointing ------------------------------------------------------
 
@@ -446,9 +430,9 @@ class FederatedSimulation:
         if partial.exists():
             shutil.rmtree(partial)
         partial.mkdir(parents=True)
-        save_params(partial / "global.bin", self.global_params)
+        save_params(partial / "global.bin", self.global_params, self.net)
         for client in self.clients:
-            save_params(partial / f"bs{client.m}.bin", client.params)
+            save_params(partial / f"bs{client.m}.bin", client.params, self.net)
             save_adam(partial / f"bs{client.m}.opt.bin", client.adam)
         if cdir.exists():
             shutil.rmtree(cdir)
@@ -458,10 +442,10 @@ class FederatedSimulation:
     def restore_checkpoint(self, cdir) -> None:
         cdir = Path(cdir)
         t = int(cdir.name.removeprefix("round_"))
-        self.global_params = load_params(cdir / "global.bin")
+        self.global_params = load_params(cdir / "global.bin", self.net)
         for client in self.clients:
-            client.params = load_params(cdir / f"bs{client.m}.bin")
-            client.adam = load_adam(cdir / f"bs{client.m}.opt.bin")
+            client.params = load_params(cdir / f"bs{client.m}.bin", self.net)
+            client.adam = load_adam(cdir / f"bs{client.m}.opt.bin", param_count(self.net))
         self.round_index = t + 1
 
     @staticmethod

@@ -1,9 +1,9 @@
 """Rate, SINR, and scalarized utility formulas for the multi-cell ISAC system.
 
-These are the reference (non-differentiable) implementations used for
-reporting and as the target the training loss must agree with. Everything is
-a pure function of a :class:`Scenario`, per-BS :class:`ChannelSample` draws,
-and a list of per-BS beamforming matrices.
+These are the reference implementations that the training loss, which also
+computes every reported rate (``isacfl.nn.LossContext``), must agree with.
+Everything is a pure function of a :class:`Scenario`, per-BS
+:class:`ChannelSample` draws, and a list of per-BS beamforming matrices.
 """
 
 from __future__ import annotations

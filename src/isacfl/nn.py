@@ -13,7 +13,7 @@ interference terms and are treated as constants (no cross-BS gradient flow).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from isacfl.datagen import BsDataset
 from isacfl.metrics import Scenario, mrc_combiner
 
 _LN2 = float(np.log(2.0))
-
-LAYER_NAMES = ("comm", "sens", "fusion", "out")
 
 PARAMS_MAGIC = "isacfl-params"
 ADAM_MAGIC = "isacfl-adam"
@@ -83,45 +81,27 @@ def param_count(cfg: NetConfig) -> int:
     return sum(fi * fo + fo for fi, fo in layer_dims(cfg).values())
 
 
-@dataclass
-class ModelParams:
-    """Flat float64 parameter vector plus the layout it packs."""
-
-    data: np.ndarray
-    cfg: NetConfig
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.shape != (param_count(self.cfg),):
-            raise ValueError(f"flat vector length {self.data.shape} does not match layout {param_count(self.cfg)}")
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.data.copy(), self.cfg)
-
-
-def unpack(params: ModelParams) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Views (no copies) of each layer's weight matrix and bias vector."""
+def unpack(flat: np.ndarray, cfg: NetConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Views (no copies) of each layer's weight matrix and bias vector in the flat vector."""
     out = {}
     offset = 0
-    for name, (fi, fo) in layer_dims(params.cfg).items():
-        w = params.data[offset : offset + fi * fo].reshape(fi, fo)
+    for name, (fi, fo) in layer_dims(cfg).items():
+        w = flat[offset : offset + fi * fo].reshape(fi, fo)
         offset += fi * fo
-        b = params.data[offset : offset + fo]
+        b = flat[offset : offset + fo]
         offset += fo
         out[name] = (w, b)
     return out
 
 
-def init_params(cfg: NetConfig, rng: RngStream) -> ModelParams:
+def init_params(cfg: NetConfig, rng: RngStream) -> np.ndarray:
     """Glorot-uniform weights, zero biases, deterministic per stream."""
     gen = rng.generator()
     flat = np.zeros(param_count(cfg))
-    offset = 0
-    for _, (fi, fo) in layer_dims(cfg).items():
-        bound = np.sqrt(6.0 / (fi + fo))
-        flat[offset : offset + fi * fo] = gen.uniform(-bound, bound, size=fi * fo)
-        offset += fi * fo + fo  # biases stay zero
-    return ModelParams(flat, cfg)
+    for w, _ in unpack(flat, cfg).values():
+        bound = np.sqrt(6.0 / sum(w.shape))
+        w[:] = gen.uniform(-bound, bound, size=w.shape)
+    return flat
 
 
 @dataclass
@@ -144,17 +124,17 @@ class AdamState:
         return replace(self, m=self.m.copy(), v=self.v.copy())
 
 
-def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState) -> None:
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update, in place.
 
-    Overwrites ``params.data``, ``state.m`` and ``state.v`` and advances
+    Overwrites ``params``, ``state.m`` and ``state.v`` and advances
     ``state.step``. The operations run in the order of the textbook
     expressions (``((1 - b2) * g) * g``, then ``lr * m_hat``, then the
     division by ``sqrt(v_hat) + eps``), so the result is bit-identical to
     evaluating them, with two temporaries per step instead of one per
     operation.
     """
-    if grad.shape != params.data.shape:
+    if grad.shape != params.shape:
         raise ValueError("gradient length does not match parameter vector")
     t = state.step + 1
     m, v = state.m, state.v
@@ -173,7 +153,7 @@ def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState) -> None:
     np.sqrt(den, out=den)
     np.add(den, state.eps, out=den)
     np.divide(tmp, den, out=tmp)
-    np.subtract(params.data, tmp, out=params.data)
+    np.subtract(params, tmp, out=params)
     state.step = t
 
 
@@ -236,7 +216,7 @@ def _mlp_backward(p: dict, cache, g_y: np.ndarray, cfg: NetConfig) -> np.ndarray
     xc, xs, zc, ac, zs, asn, af, zf, f = cache
     hidden = cfg.hidden
     grad = np.empty(param_count(cfg))
-    g = unpack(ModelParams(grad, cfg))
+    g = unpack(grad, cfg)
     np.matmul(f.T, g_y, out=g["out"][0])
     np.sum(g_y, axis=0, out=g["out"][1])
     g_f = g_y @ p["out"][0].T
@@ -279,9 +259,9 @@ def check_power(w: np.ndarray, p_t: float) -> None:
         raise PowerConstraintError(f"beamformer power {np.max(sq)} exceeds budget {p_t}")
 
 
-def forward_batch(params: ModelParams, cfg: NetConfig, xc: np.ndarray, xs: np.ndarray, k_m: int, p_t: float) -> np.ndarray:
+def forward_batch(params: np.ndarray, cfg: NetConfig, xc: np.ndarray, xs: np.ndarray, k_m: int, p_t: float) -> np.ndarray:
     """Beamformers for a feature batch: (B, n_t, k_m), each on the power sphere."""
-    p = unpack(params)
+    p = unpack(params, cfg)
     y, _ = _mlp_forward(p, xc, xs)
     w_raw = _reshape_to_beams(y, cfg, k_m)
     w, _, _ = _project_batch(w_raw, p_t)
@@ -348,7 +328,7 @@ class LossContext:
 
     def evaluate(
         self,
-        params: ModelParams,
+        params: np.ndarray,
         idx: np.ndarray,
         interference: tuple[np.ndarray, np.ndarray],
         want_grad: bool = True,
@@ -368,7 +348,7 @@ class LossContext:
         rho = scn.rho_per_cell[self.m]
         cross_c, den_s = (term[idx] for term in interference)
 
-        p = unpack(params)
+        p = unpack(params, cfg)
         y, cache = _mlp_forward(p, self.xc[idx], self.xs[idx])
         w_raw = _reshape_to_beams(y, cfg, k_m)
         w, norms, scale = _project_batch(w_raw, scn.p_t)
@@ -428,24 +408,26 @@ class LossContext:
 # Serialization: the shared container (isacfl.container) with float64 arrays
 
 
-def save_params(path, params: ModelParams) -> None:
+def save_params(path, params: np.ndarray, cfg: NetConfig) -> None:
     header = {
         "format": PARAMS_MAGIC,
         "version": FORMAT_VERSION,
-        "net": {"n_t": params.cfg.n_t, "k_max": params.cfg.k_max, "hidden": params.cfg.hidden},
-        "layers": [[name, list(dims)] for name, dims in layer_dims(params.cfg).items()],
+        "net": asdict(cfg),
+        "layers": [[name, list(dims)] for name, dims in layer_dims(cfg).items()],
     }
-    write_container(path, header, [params.data], "<f8")
+    write_container(path, header, [params], "<f8")
 
 
-def load_params(path) -> ModelParams:
+def load_params(path, cfg: NetConfig) -> np.ndarray:
+    """The parameter vector in ``path``, which must have been written for network ``cfg``."""
     with open(path, "rb") as fh, decoding(path):
         reader = ContainerReader(fh, path, PARAMS_MAGIC, FORMAT_VERSION, "<f8")
-        dims = {key: reader.header["net"][key] for key in ("n_t", "k_max", "hidden")}
+        dims = {key: reader.header["net"][key] for key in asdict(cfg)}
         if not all(isinstance(value, int) for value in dims.values()):
             raise DatasetFormatError(f"{path}: network dimensions must be integers, got {dims}")
-        cfg = NetConfig(**dims)
-        return ModelParams(reader.array(param_count(cfg)).astype(np.float64), cfg)
+        if dims != asdict(cfg):
+            raise DatasetFormatError(f"{path}: written for network {dims}, this run has {cfg}")
+        return reader.array(param_count(cfg)).astype(np.float64)
 
 
 def save_adam(path, state: AdamState) -> None:
@@ -461,11 +443,12 @@ def save_adam(path, state: AdamState) -> None:
     write_container(path, header, [state.m, state.v], "<f8")
 
 
-def load_adam(path) -> AdamState:
+def load_adam(path, n_params: int) -> AdamState:
+    """The optimizer state in ``path``, whose moments must hold ``n_params`` values each."""
     with open(path, "rb") as fh, decoding(path):
         reader = ContainerReader(fh, path, ADAM_MAGIC, FORMAT_VERSION, "<f8")
-        m = reader.array().astype(np.float64)
-        v = reader.array(m.size).astype(np.float64)
+        m = reader.array(n_params).astype(np.float64)
+        v = reader.array(n_params).astype(np.float64)
         hyper = {key: reader.header[key] for key in ("step", "lr", "beta1", "beta2", "eps")}
         if not isinstance(hyper["step"], int) or not all(isinstance(value, (int, float)) for value in hyper.values()):
             raise DatasetFormatError(f"{path}: optimizer settings must be numbers, got {hyper}")

@@ -9,6 +9,7 @@ import pytest
 from isacfl import cli, fl
 from isacfl.cli import main, read_metrics_csv, summarize
 from isacfl.datagen import generate_dataset, build_scenario, write_dataset
+from isacfl.nn import AdamState, save_adam
 from isacfl.svgplot import line_chart
 from test_container import rewrite_header
 
@@ -150,7 +151,7 @@ class TestRun:
         small = tmp_path / "small"
         write_dataset(small, generate_dataset(build_scenario("heterogeneous", n_t=3, n_r=3), 40, seed=4))
         out = tmp_path / "r"
-        assert run_toy(small, out) == 3  # 4 eval samples per BS < eval_batch
+        assert run_toy(small, out) == 3  # 40 samples per BS < eval_batch (64)
         assert "eval_batch" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
         assert run_toy(toy_dataset, out) == 0
@@ -288,6 +289,10 @@ def _huge_header_length(path):
     rewrite_header(path, lambda h: None, length=1 << 40)
 
 
+def _five_moment_values(path):
+    save_adam(path, AdamState.fresh(5))
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "name, damage",
@@ -295,15 +300,30 @@ class TestMalformedInput:
             ("bs0.opt.bin", _truncate_to_five_bytes),
             ("bs0.opt.bin", _huge_header_length),
             ("bs0.opt.bin", lambda p: rewrite_header(p, lambda h: h.pop("step"))),
+            ("bs0.opt.bin", _five_moment_values),
         ],
-        ids=["opt-5-bytes", "opt-header-2^40", "opt-no-step"],
+        ids=["opt-5-bytes", "opt-header-2^40", "opt-no-step", "opt-5-moment-values"],
     )
     def test_damaged_checkpoint_is_data_error(self, toy_dataset, tmp_path, capsys, name, damage):
         out = tmp_path / "r"
         assert run_toy(toy_dataset, out) == 0
         damage(out / "round_1" / name)
+        capsys.readouterr()
         assert run_toy(toy_dataset, out, "--rounds", "3", "--resume") == 3
-        assert "data error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "data error" in captured.err
+        assert "resuming from" not in captured.out  # refused while loading, not later in training
+
+    def test_checkpoint_of_another_network_is_data_error(self, toy_dataset, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert run_toy(toy_dataset, out) == 0
+        capsys.readouterr()
+        assert run_toy(toy_dataset, out, "--rounds", "3", "--resume", "--hidden", "16") == 3
+        captured = capsys.readouterr()
+        assert "data error" in captured.err
+        assert "written for network {'n_t': 3, 'k_max': 4, 'hidden': 6}" in captured.err
+        assert "this run has NetConfig(n_t=3, k_max=4, hidden=16)" in captured.err
+        assert "resuming from" not in captured.out
 
     @pytest.mark.parametrize(
         "damage",

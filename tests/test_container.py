@@ -35,10 +35,16 @@ def _adam_state():
     return state
 
 
+NET = NetConfig(3, 2, 4)
+
 # (make a value, save it, load it) for every file kind the container carries
 KINDS = {
-    "params": (lambda: init_params(NetConfig(3, 2, 4), RngStream(3)), save_params, load_params),
-    "adam": (_adam_state, save_adam, load_adam),
+    "params": (
+        lambda: init_params(NET, RngStream(3)),
+        lambda path, params: save_params(path, params, NET),
+        lambda path: load_params(path, NET),
+    ),
+    "adam": (_adam_state, save_adam, lambda path: load_adam(path, 12)),
     "dataset": (
         lambda: generate_bs_dataset(build_scenario("heterogeneous", n_t=2, n_r=2), 1, 12, 5),
         write_bs_dataset,
@@ -128,7 +134,7 @@ class TestMalformed:
         path.write_bytes(valid_files["params"])
         rewrite_header(path, lambda h: h["net"].update(hidden=5))
         with pytest.raises(DatasetFormatError, match="declares"):
-            load_params(path)
+            load_params(path, NetConfig(3, 2, 5))
 
 
 def _mutations(size: int, header_end: int):

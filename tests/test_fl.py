@@ -22,7 +22,7 @@ from isacfl.fl import (
     m_step,
     mix_models,
 )
-from isacfl.nn import ModelParams, NetConfig, init_params, param_count
+from isacfl.nn import NetConfig, init_params, param_count
 
 def toy_setup(variant="heterogeneous", n_samples=80, seed=1, **run_kw):
     scn = build_scenario(variant, n_t=3, n_r=3)
@@ -79,49 +79,49 @@ class TestMStep:
 class TestMixModels:
     def _pair(self):
         cfg = NetConfig(2, 2, 3)
-        local = ModelParams(np.zeros(param_count(cfg)), cfg)
-        global_ = ModelParams(np.full(param_count(cfg), 2.0), cfg)
+        local = np.zeros(param_count(cfg))
+        global_ = np.full(param_count(cfg), 2.0)
         return local, global_
 
     def test_endpoints(self):
         local, global_ = self._pair()
-        np.testing.assert_array_equal(mix_models(local, global_, 0.0).data, local.data)
-        np.testing.assert_array_equal(mix_models(local, global_, 1.0).data, global_.data)
+        np.testing.assert_array_equal(mix_models(local, global_, 0.0), local)
+        np.testing.assert_array_equal(mix_models(local, global_, 1.0), global_)
 
     def test_halfway(self):
         local, global_ = self._pair()
-        np.testing.assert_array_equal(mix_models(local, global_, 0.5).data, np.ones(local.data.size))
+        np.testing.assert_array_equal(mix_models(local, global_, 0.5), np.ones(local.size))
 
     def test_fixed_point(self):
         local, _ = self._pair()
         for pi in (0.0, 0.3, 1.0):
-            np.testing.assert_array_equal(mix_models(local, local, pi).data, local.data)
+            np.testing.assert_array_equal(mix_models(local, local, pi), local)
 
     def test_errors(self):
         local, global_ = self._pair()
         with pytest.raises(ValueError):
             mix_models(local, global_, 1.5)
-        other = ModelParams(np.zeros(param_count(NetConfig(2, 2, 4))), NetConfig(2, 2, 4))
+        other = np.zeros(param_count(NetConfig(2, 2, 4)))
         with pytest.raises(ValueError):
             mix_models(local, other, 0.5)
 
 
 class TestFedavgAggregate:
     def _params(self, value, cfg=NetConfig(2, 2, 3)):
-        return ModelParams(np.full(param_count(cfg), float(value)), cfg)
+        return np.full(param_count(cfg), float(value))
 
     def test_identical_clients(self):
         p = self._params(1.3)
         out = fedavg_aggregate([p, p, p], [1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(out.data, p.data)
+        np.testing.assert_array_equal(out, p)
 
     def test_equal_weights(self):
         out = fedavg_aggregate([self._params(0), self._params(2)], [5.0, 5.0])
-        np.testing.assert_array_equal(out.data, np.ones(out.data.size))
+        np.testing.assert_array_equal(out, np.ones(out.size))
 
     def test_weighted(self):
         out = fedavg_aggregate([self._params(0), self._params(4)], [1.0, 3.0])
-        np.testing.assert_allclose(out.data, np.full(out.data.size, 3.0), atol=1e-15)
+        np.testing.assert_allclose(out, np.full(out.size, 3.0), atol=1e-15)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ class TestComputePi:
         idx = client.data.eval_indices
         ll, _, _, _ = client.ctx.evaluate(client.params, idx, no_peers, want_grad=False)
         assert ll < -5.0  # utility above 5 bits
-        zero_global = ModelParams(np.zeros(param_count(sim.net)), sim.net)
+        zero_global = np.zeros(param_count(sim.net))
         pi = compute_pi(client, zero_global, run, RngStream(8), no_peers)
         assert pi < 0.01
 
@@ -188,10 +188,10 @@ class TestLocalTrain:
         sim = FederatedSimulation(scn, data, run)
         client = sim.clients[0]
         client.adam.lr = 0.0
-        before = client.params.data.copy()
+        before = client.params.copy()
         pools = sim._eval_pools([c.params for c in sim.clients])
         local_train(client, 2, 16, client.ctx.interference(pools), RngStream(10))
-        np.testing.assert_array_equal(client.params.data, before)
+        np.testing.assert_array_equal(client.params, before)
         assert client.adam.step > 0
 
     def test_full_batch_step_decreases_loss(self):
@@ -213,7 +213,7 @@ class TestLocalTrain:
             client = sim.clients[2]
             interference = client.ctx.interference(sim._eval_pools([c.params for c in sim.clients]))
             local_train(client, 2, 16, interference, RngStream(12))
-            results.append(client.params.data.copy())
+            results.append(client.params.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
 
@@ -253,9 +253,9 @@ class TestRounds:
 
 def shared_buffers(sim):
     """Names of every pair among the global params, client params and Adam moments that share memory."""
-    arrays = {"global": sim.global_params.data}
+    arrays = {"global": sim.global_params}
     for c in sim.clients:
-        arrays.update({f"bs{c.m}.params": c.params.data, f"bs{c.m}.m": c.adam.m, f"bs{c.m}.v": c.adam.v})
+        arrays.update({f"bs{c.m}.params": c.params, f"bs{c.m}.m": c.adam.m, f"bs{c.m}.v": c.adam.v})
     return [(a, b) for (a, x), (b, y) in itertools.combinations(arrays.items(), 2) if np.shares_memory(x, y)]
 
 
@@ -271,9 +271,9 @@ class TestInPlaceUpdates:
 
         def guarded(client, *args, **kwargs):
             shared = shared_buffers(sim)
-            before = sim.global_params.data.copy()
+            before = sim.global_params.copy()
             out = real_local_train(client, *args, **kwargs)
-            seen.append((shared, np.array_equal(sim.global_params.data, before)))
+            seen.append((shared, np.array_equal(sim.global_params, before)))
             return out
 
         monkeypatch.setattr(fl, "local_train", guarded)
@@ -329,9 +329,9 @@ class TestStrategyDegenerations:
         head = ~sim._server_mask
         # the global head never moved from its initialization
         init = init_params(sim.net, RngStream(run.seed).child(0))
-        np.testing.assert_array_equal(sim.global_params.data[head], init.data[head])
+        np.testing.assert_array_equal(sim.global_params[head], init[head])
         # clients' heads diverged from each other (trained locally, never averaged)
-        assert not np.array_equal(sim.clients[0].params.data[head], sim.clients[1].params.data[head])
+        assert not np.array_equal(sim.clients[0].params[head], sim.clients[1].params[head])
 
     def test_pfedme_prox_gradient_matches_finite_difference(self):
         scn, data, run = toy_setup()
@@ -344,17 +344,17 @@ class TestStrategyDegenerations:
 
         def prox_loss(params):
             base, _, _, _ = client.ctx.evaluate(params, idx, interference, want_grad=False)
-            return base + 0.5 * lam * float(np.sum((params.data - ref.data) ** 2))
+            return base + 0.5 * lam * float(np.sum((params - ref) ** 2))
 
         _, grad, _, _ = client.ctx.evaluate(client.params, idx, interference)
-        grad = grad + lam * (client.params.data - ref.data)
+        grad = grad + lam * (client.params - ref)
         h = 1e-6
         gen = np.random.default_rng(0)
         for i in gen.choice(grad.size, size=25, replace=False):
             plus = client.params.copy()
-            plus.data[i] += h
+            plus[i] += h
             minus = client.params.copy()
-            minus.data[i] -= h
+            minus[i] -= h
             fd = (prox_loss(plus) - prox_loss(minus)) / (2 * h)
             assert abs(grad[i] - fd) <= 1e-8 + 1e-4 * max(abs(grad[i]), abs(fd))
 
@@ -369,7 +369,7 @@ class TestStrategyDegenerations:
             sim = FederatedSimulation(scn, data, run)
             start_global = sim.global_params.copy()
             sim.run_round()
-            dists[lam] = np.linalg.norm(sim.clients[0].params.data - start_global.data)
+            dists[lam] = np.linalg.norm(sim.clients[0].params - start_global)
         assert dists[1e6] < dists[0.0]
 
     def test_local_only_reports_zero_pi(self):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from isacfl.channel import RngStream
+from isacfl.container import DatasetFormatError
+from isacfl import metrics
 from isacfl.metrics import Scenario
 from isacfl.nn import (
     AdamState,
     LossContext,
-    ModelParams,
     NetConfig,
     PowerConstraintError,
     adam_step,
@@ -63,12 +64,12 @@ def one_row_features(sample, cfg=TINY_CFG, scn=TINY_SCN):
 
 
 def finite_difference_grad(params, cfg, scn, batch, m, peers, h=1e-5):
-    fd = np.zeros_like(params.data)
+    fd = np.zeros_like(params)
     for i in range(fd.size):
         plus = params.copy()
-        plus.data[i] += h
+        plus[i] += h
         minus = params.copy()
-        minus.data[i] -= h
+        minus[i] -= h
         l_plus, _ = loss_and_grad(plus, cfg, scn, batch, m, peers)
         l_minus, _ = loss_and_grad(minus, cfg, scn, batch, m, peers)
         fd[i] = (l_plus - l_minus) / (2 * h)
@@ -77,7 +78,7 @@ def finite_difference_grad(params, cfg, scn, batch, m, peers, h=1e-5):
 
 class TestForward:
     def test_zero_params_give_zero_beamformer(self):
-        params = ModelParams(np.zeros(param_count(TINY_CFG)), TINY_CFG)
+        params = np.zeros(param_count(TINY_CFG))
         xc, xs = one_row_features(tiny_batch(1)[0])
         w = forward_batch(params, TINY_CFG, xc, xs, k_m=2, p_t=1.0)
         np.testing.assert_array_equal(w, np.zeros((1, 3, 2), dtype=complex))
@@ -96,7 +97,7 @@ class TestForward:
         sample = tiny_batch(6)[0]
         got = forward_batch(params, TINY_CFG, *one_row_features(sample), k_m=2, p_t=1.0)[0]
 
-        layers = unpack(params)
+        layers = unpack(params, TINY_CFG)
 
         def dense(x, name, relu):
             w, b = layers[name]
@@ -205,7 +206,7 @@ class TestGradient:
         base_loss, base_grad = loss_and_grad(params, cfg, scn, batch, 0, {})
 
         zeroed = params.copy()
-        w_out, b_out = unpack(zeroed)["out"]
+        w_out, b_out = unpack(zeroed, cfg)["out"]
         for n in range(cfg.n_t):
             for k in range(1, cfg.k_max):  # truncated user columns
                 for part in range(2):
@@ -215,7 +216,7 @@ class TestGradient:
         loss2, grad2 = loss_and_grad(zeroed, cfg, scn, batch, 0, {})
         assert loss2 == base_loss
         # gradients on surviving parameters are unchanged; zeroed ones had zero grad
-        mask = zeroed.data != params.data
+        mask = zeroed != params
         np.testing.assert_array_equal(grad2[~mask], base_grad[~mask])
         np.testing.assert_array_equal(base_grad[mask], np.zeros(mask.sum()))
 
@@ -223,19 +224,19 @@ class TestGradient:
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         params = init_params(TINY_CFG, RngStream(15))
-        state = AdamState.fresh(params.data.size, lr=1e-3)
+        state = AdamState.fresh(params.size, lr=1e-3)
         stepped, stepped_state = params.copy(), state.copy()
-        adam_step(stepped, np.zeros_like(params.data), stepped_state)
-        np.testing.assert_array_equal(stepped.data, params.data)
+        adam_step(stepped, np.zeros_like(params), stepped_state)
+        np.testing.assert_array_equal(stepped, params)
         assert stepped_state.step == 1 and state.step == 0
 
     def test_first_step_hand_computed(self):
         cfg = NetConfig(n_t=1, k_max=1, hidden=1)  # not used by the math below
-        p = ModelParams(np.zeros(param_count(cfg)), cfg)
-        p.data[:3] = [1.0, 2.0, 3.0]
-        grad = np.zeros_like(p.data)
+        p = np.zeros(param_count(cfg))
+        p[:3] = [1.0, 2.0, 3.0]
+        grad = np.zeros_like(p)
         grad[:3] = [0.1, -0.2, 0.0]
-        state = AdamState.fresh(p.data.size, lr=1e-4)
+        state = AdamState.fresh(p.size, lr=1e-4)
         adam_step(p, grad, state)
         # bias-corrected first step: p - lr * g / (|g| + eps)
         lr, eps = 1e-4, 1e-8
@@ -244,25 +245,25 @@ class TestAdam:
             2.0 - lr * (-0.2) / (abs(-0.2) + eps),
             3.0,
         ]
-        np.testing.assert_allclose(p.data[:3], expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(p[:3], expected, rtol=0, atol=1e-15)
 
     def test_bitwise_deterministic(self):
         params = init_params(TINY_CFG, RngStream(16))
-        grad = RngStream(17).generator().standard_normal(params.data.size)
-        state = AdamState.fresh(params.data.size)
+        grad = RngStream(17).generator().standard_normal(params.size)
+        state = AdamState.fresh(params.size)
         a1, s1 = params.copy(), state.copy()
         a2, s2 = params.copy(), state.copy()
         adam_step(a1, grad, s1)
         adam_step(a2, grad, s2)
-        np.testing.assert_array_equal(a1.data, a2.data)
+        np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(s1.m, s2.m)
         np.testing.assert_array_equal(s1.v, s2.v)
 
     def test_in_place_matches_functional_update(self):
         params = init_params(TINY_CFG, RngStream(24))
-        state = AdamState.fresh(params.data.size, lr=1e-3)
+        state = AdamState.fresh(params.size, lr=1e-3)
         gen = RngStream(25).generator()
-        theta, m, v = params.data.copy(), np.zeros(params.data.size), np.zeros(params.data.size)
+        theta, m, v = params.copy(), np.zeros(params.size), np.zeros(params.size)
         b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
         for t in range(1, 51):
             g = gen.standard_normal(theta.size)
@@ -276,12 +277,12 @@ class TestAdam:
             assert state.step == t
             np.testing.assert_array_equal(state.m, m)
             np.testing.assert_array_equal(state.v, v)
-            np.testing.assert_array_equal(params.data, theta)
+            np.testing.assert_array_equal(params, theta)
 
     def test_shape_mismatch(self):
         params = init_params(TINY_CFG, RngStream(18))
         with pytest.raises(ValueError):
-            adam_step(params, np.zeros(3), AdamState.fresh(params.data.size))
+            adam_step(params, np.zeros(3), AdamState.fresh(params.size))
 
 
 THREE_SCN = Scenario(n_cells=3, n_t=3, n_r=4, k_per_cell=(2, 3, 1), rho_per_cell=(0.4, 0.7, 0.5))
@@ -347,6 +348,30 @@ class TestInterference:
             np.testing.assert_allclose(den_s[s], den, rtol=1e-9)
 
 
+class TestReferenceRates:
+    N = 7
+
+    def test_loss_computes_metrics_rates_and_utility(self):
+        """Per-sample rates and the loss of ``evaluate`` are the ``metrics`` formulas, peers paired s % P."""
+        cfg = NetConfig(n_t=3, k_max=3, hidden=4)
+        for m in range(THREE_SCN.n_cells):
+            samples = [make_sample(THREE_SCN, m, RngStream(50 + m).child(s)) for s in range(self.N)]
+            ctx = LossContext(cfg, dataset_from_samples(THREE_SCN, m, samples))
+            peers = [i for i in range(THREE_SCN.n_cells) if i != m]
+            pools = {i: tiny_peers(51 + i, n=size, scn=THREE_SCN, m=m)[i] for i, size in zip(peers, (4, 3))}
+            params = init_params(cfg, RngStream(52 + m))
+            loss, _, r_c, r_s = ctx.evaluate(params, np.arange(self.N), ctx.interference(pools), want_grad=False)
+            own = forward_batch(params, cfg, ctx.xc, ctx.xs, ctx.k_m, THREE_SCN.p_t)
+            utilities = []
+            for s, sample in enumerate(samples):
+                w = [own[s] if i == m else pools[i][s % pools[i].shape[0]] for i in range(THREE_SCN.n_cells)]
+                cells = {m: sample}  # the formulas read only cell m's draw
+                np.testing.assert_allclose(r_c[s], metrics.comm_sum_rate(THREE_SCN, cells, w, m), rtol=1e-12)
+                np.testing.assert_allclose(r_s[s], metrics.radar_rate(THREE_SCN, cells, w, m), rtol=1e-12)
+                utilities.append(metrics.bs_utility(THREE_SCN, cells, w, m))
+            np.testing.assert_allclose(loss, -np.mean(utilities), rtol=1e-12)
+
+
 class TestBackwardBuffer:
     @pytest.mark.parametrize("cfg, batch", [(TINY_CFG, 3), (NetConfig(n_t=8, k_max=4, hidden=256), 64)])
     def test_flat_gradient_matches_concatenated_layers(self, cfg, batch):
@@ -355,7 +380,7 @@ class TestBackwardBuffer:
         xc = gen.standard_normal((batch, cfg.comm_in_dim))
         xs = gen.standard_normal((batch, cfg.sens_in_dim))
         g_y = gen.standard_normal((batch, cfg.out_dim))
-        p = unpack(params)
+        p = unpack(params, cfg)
         _, cache = _mlp_forward(p, xc, xs)
         got = _mlp_backward(p, cache, g_y, cfg)
 
@@ -385,9 +410,9 @@ class TestInit:
         params = init_params(cfg, RngStream(19))
         offset = 0
         for name, (fi, fo) in layer_dims(cfg).items():
-            w = params.data[offset : offset + fi * fo]
+            w = params[offset : offset + fi * fo]
             offset += fi * fo
-            b = params.data[offset : offset + fo]
+            b = params[offset : offset + fo]
             offset += fo
             bound = np.sqrt(6.0 / (fi + fo))
             assert np.max(np.abs(w)) <= bound
@@ -397,17 +422,24 @@ class TestInit:
         cfg = NetConfig(n_t=4, k_max=3, hidden=16)
         a = init_params(cfg, RngStream(20, 4))
         b = init_params(cfg, RngStream(20, 4))
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestSerialization:
     def test_params_round_trip(self, tmp_path):
-        params = init_params(NetConfig(3, 2, 5), RngStream(21))
+        cfg = NetConfig(3, 2, 5)
+        params = init_params(cfg, RngStream(21))
         path = tmp_path / "p.bin"
-        save_params(path, params)
-        loaded = load_params(path)
-        assert loaded.cfg == params.cfg
-        np.testing.assert_array_equal(loaded.data, params.data)
+        save_params(path, params, cfg)
+        np.testing.assert_array_equal(load_params(path, cfg), params)
+
+    @pytest.mark.parametrize("other", [NetConfig(3, 2, 6), NetConfig(2, 2, 5), NetConfig(3, 3, 5)])
+    def test_params_of_another_network_rejected(self, tmp_path, other):
+        cfg = NetConfig(3, 2, 5)
+        path = tmp_path / "p.bin"
+        save_params(path, init_params(cfg, RngStream(21)), cfg)
+        with pytest.raises(DatasetFormatError, match=r"network \{'n_t': 3, 'k_max': 2, 'hidden': 5\}, this run has NetConfig"):
+            load_params(path, other)
 
     def test_adam_round_trip(self, tmp_path):
         state = AdamState.fresh(10, lr=3e-4)
@@ -416,17 +448,24 @@ class TestSerialization:
         state.step = 7
         path = tmp_path / "a.bin"
         save_adam(path, state)
-        loaded = load_adam(path)
+        loaded = load_adam(path, 10)
         assert loaded.step == 7 and loaded.lr == 3e-4
         np.testing.assert_array_equal(loaded.m, state.m)
         np.testing.assert_array_equal(loaded.v, state.v)
 
+    @pytest.mark.parametrize("m_size, v_size, n_params", [(10, 10, 11), (10, 11, 10)], ids=["m", "v"])
+    def test_adam_moment_lengths_checked(self, tmp_path, m_size, v_size, n_params):
+        path = tmp_path / "a.bin"
+        save_adam(path, AdamState(m=np.zeros(m_size), v=np.zeros(v_size)))
+        with pytest.raises(DatasetFormatError):
+            load_adam(path, n_params)
+
     def test_wrong_magic(self, tmp_path):
-        params = init_params(NetConfig(3, 2, 5), RngStream(22))
+        cfg = NetConfig(3, 2, 5)
         path = tmp_path / "p.bin"
-        save_params(path, params)
+        save_params(path, init_params(cfg, RngStream(22)), cfg)
         with pytest.raises(ValueError):
-            load_adam(path)
+            load_adam(path, param_count(cfg))
 
 
 class TestFeatures:
