@@ -163,15 +163,16 @@ class SteeringConfig:
             raise ValueError(f"element spacing must be > 0, got {self.element_spacing_wavelengths}")
 
 
-def steering_vector(theta: float, cfg: SteeringConfig) -> np.ndarray:
+def steering_vector(theta: float | np.ndarray, cfg: SteeringConfig) -> np.ndarray:
     """ULA steering vector toward angle ``theta`` (radians, broadside = 0).
 
     Entry i is exp(j 2*pi * spacing * i * sin(theta)); entry 0 is always 1.
+    A 1-d array of angles gives one vector per angle, shape (n, n_elements).
     """
-    if not -np.pi / 2 <= theta <= np.pi / 2:
+    if not np.all((-np.pi / 2 <= theta) & (theta <= np.pi / 2)):
         raise ValueError(f"theta must lie in [-pi/2, pi/2], got {theta}")
     idx = np.arange(cfg.n_elements)
-    phase = 2.0 * np.pi * cfg.element_spacing_wavelengths * idx * np.sin(theta)
+    phase = 2.0 * np.pi * cfg.element_spacing_wavelengths * idx * np.sin(theta)[..., None]
     return np.exp(1j * phase)
 
 

@@ -75,7 +75,7 @@ class ContainerReader:
         """The next flat array; with ``count`` set, its length must equal it."""
         n = self._u64("truncated file (missing array length)")
         if count is not None and n != count:
-            raise DatasetFormatError(f"{self.path}: array of {n} values where the header declares {count}")
+            raise DatasetFormatError(f"{self.path}: array of {n} values, expected {count}")
         body = self._take(n * self._dtype.itemsize, "truncated file (short array body)")
         return np.frombuffer(body, dtype=self._dtype)
 

@@ -48,7 +48,6 @@ from isacfl.nn import (
     adam_step,
     forward_batch,
     init_params,
-    layer_dims,
     load_adam,
     load_params,
     param_count,
@@ -67,22 +66,21 @@ class Strategy:
     server-owned layers (reported as pi = 1), and "keep" leaves the local
     model alone (pi = 0). ``proximal`` adds pFedMe's pull toward the global
     model, with ``inner_steps`` steps per batch, to the local objective.
-    ``server_owns_all`` gives the server every layer; otherwise it owns only
-    ``RunConfig.fedper_shared`` and each BS keeps the rest. A BS that takes
-    the server-owned layers also deploys them over its own model; every other
-    BS deploys its own model.
+    ``server_layers`` are the layers the server owns; each BS keeps the rest.
+    A BS that takes the server-owned layers also deploys them over its own
+    model; every other BS deploys its own model.
     """
 
     mix: str
     proximal: bool = False
-    server_owns_all: bool = True
+    server_layers: tuple[str, ...] = ("comm", "sens", "fusion", "out")
 
 
 STRATEGIES = {
     "em_pfl": Strategy(mix="posterior"),
     "fixed_pfl": Strategy(mix="fixed"),
     "fedavg": Strategy(mix="take"),
-    "fedper": Strategy(mix="take", server_owns_all=False),
+    "fedper": Strategy(mix="take", server_layers=("comm", "sens", "fusion")),
     "pfedme": Strategy(mix="keep", proximal=True),
     "local_only": Strategy(mix="keep"),
 }
@@ -200,7 +198,6 @@ class RunConfig:
     pi_fixed: float = 0.5
     lambda_prox: float = 15.0
     inner_steps: int = 5
-    fedper_shared: tuple[str, ...] = ("comm", "sens", "fusion")
     hidden: int = 256
     pi_eval_cap: int = 1024
     seed: int = 0
@@ -222,9 +219,6 @@ class RunConfig:
             raise ValueError("kappa must be > 0")
         if self.eval_batch < 1 or self.pi_eval_cap < 1 or self.hidden < 1:
             raise ValueError("eval_batch, pi_eval_cap, and hidden must be >= 1")
-        unknown = set(self.fedper_shared) - set(layer_dims(NetConfig(1, 1, 1)))
-        if unknown:
-            raise ValueError(f"unknown fedper layers: {sorted(unknown)}")
 
 
 def compute_pi(
@@ -314,10 +308,9 @@ class FederatedSimulation:
             )
         self.round_index = 0
         self.spec = STRATEGIES[run.strategy]
-        owned = tuple(layer_dims(self.net)) if self.spec.server_owns_all else run.fedper_shared
         self._server_mask = np.zeros(param_count(self.net), dtype=bool)
         for name, (w, b) in unpack(self._server_mask, self.net).items():
-            w[...] = b[...] = name in owned
+            w[...] = b[...] = name in self.spec.server_layers
 
     def _take_server_layers(self, base: np.ndarray, source: np.ndarray) -> np.ndarray:
         """``base`` with its server-owned layers replaced by those of ``source``."""

@@ -17,10 +17,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from isacfl.channel import RngStream
+from isacfl.channel import RngStream, steering_vector
 from isacfl.container import ContainerReader, DatasetFormatError, decoding, write_container
 from isacfl.datagen import BsDataset
-from isacfl.metrics import Scenario, mrc_combiner
+from isacfl.metrics import Scenario
 
 _LN2 = float(np.log(2.0))
 
@@ -171,28 +171,31 @@ def sens_channel(theta: np.ndarray, beta: np.ndarray, scn: Scenario) -> np.ndarr
 # Feature construction
 
 
-def comm_features(comm_direct: np.ndarray, cfg: NetConfig) -> np.ndarray:
-    """Flatten (B, k_m, n_t) direct channels into (B, n_t * k_max * 2) features.
+def _padded_reals(z: np.ndarray, k_max: int) -> np.ndarray:
+    """(B, n_t, k) complex matrices zero-padded to k_max columns, as their float64 view (B, n_t * k_max * 2).
 
-    The user axis is zero-padded up to k_max; layout is (n_t, k_max, re/im),
-    row-major.
+    This is the network's real layout, (n_t, k_max, re/im) row-major, which is
+    complex128's own memory order; :func:`_reshape_to_beams` inverts it.
     """
+    bsz, n_t, k = z.shape
+    padded = np.zeros((bsz, n_t, k_max), dtype=np.complex128)
+    padded[:, :, :k] = z
+    return padded.view(np.float64).reshape(bsz, n_t * k_max * 2)
+
+
+def comm_features(comm_direct: np.ndarray, cfg: NetConfig) -> np.ndarray:
+    """(B, k_m, n_t) direct channels as (B, n_t * k_max * 2) features, users zero-padded to k_max."""
     bsz, k_m, n_t = comm_direct.shape
     if n_t != cfg.n_t or k_m > cfg.k_max:
         raise ValueError("channel dimensions do not match the network config")
-    tensor = np.zeros((bsz, cfg.n_t, cfg.k_max, 2))
-    h = np.transpose(comm_direct, (0, 2, 1))  # (B, n_t, k_m)
-    tensor[:, :, :k_m, 0] = h.real
-    tensor[:, :, :k_m, 1] = h.imag
-    return tensor.reshape(bsz, cfg.comm_in_dim)
+    return _padded_reals(np.transpose(comm_direct, (0, 2, 1)), cfg.k_max)
 
 
 def sens_features(u: np.ndarray, cfg: NetConfig) -> np.ndarray:
-    """Flatten (B, n_t) sensing channels into (B, n_t * 2) features."""
+    """(B, n_t) complex128 sensing channels as their (B, n_t * 2) float64 view."""
     if u.shape[1] != cfg.n_t:
         raise ValueError("sensing channel dimension does not match the network config")
-    tensor = np.stack([u.real, u.imag], axis=-1)
-    return tensor.reshape(u.shape[0], cfg.sens_in_dim)
+    return np.ascontiguousarray(u, dtype=np.complex128).view(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -201,19 +204,17 @@ def sens_features(u: np.ndarray, cfg: NetConfig) -> np.ndarray:
 
 def _mlp_forward(p: dict, xc: np.ndarray, xs: np.ndarray):
     zc = xc @ p["comm"][0] + p["comm"][1]
-    ac = np.maximum(zc, 0.0)
     zs = xs @ p["sens"][0] + p["sens"][1]
-    asn = np.maximum(zs, 0.0)
-    af = np.concatenate([ac, asn], axis=1)
+    af = np.concatenate([np.maximum(zc, 0.0), np.maximum(zs, 0.0)], axis=1)
     zf = af @ p["fusion"][0] + p["fusion"][1]
     f = np.maximum(zf, 0.0)
     y = f @ p["out"][0] + p["out"][1]
-    return y, (xc, xs, zc, ac, zs, asn, af, zf, f)
+    return y, (xc, xs, zc, zs, af, zf, f)
 
 
 def _mlp_backward(p: dict, cache, g_y: np.ndarray, cfg: NetConfig) -> np.ndarray:
     """Parameter gradient, each block written straight into one flat vector."""
-    xc, xs, zc, ac, zs, asn, af, zf, f = cache
+    xc, xs, zc, zs, af, zf, f = cache
     hidden = cfg.hidden
     grad = np.empty(param_count(cfg))
     g = unpack(grad, cfg)
@@ -234,9 +235,8 @@ def _mlp_backward(p: dict, cache, g_y: np.ndarray, cfg: NetConfig) -> np.ndarray
 
 
 def _reshape_to_beams(y: np.ndarray, cfg: NetConfig, k_m: int) -> np.ndarray:
-    tensor = y.reshape(y.shape[0], cfg.n_t, cfg.k_max, 2)
-    w_raw = tensor[..., 0] + 1j * tensor[..., 1]
-    return w_raw[:, :, :k_m]  # (B, n_t, k_m)
+    """The (B, n_t, k_m) complex view of network outputs in the :func:`_padded_reals` layout."""
+    return y.view(np.complex128).reshape(y.shape[0], cfg.n_t, cfg.k_max)[:, :, :k_m]
 
 
 def _project_batch(w_raw: np.ndarray, p_t: float):
@@ -289,9 +289,13 @@ class LossContext:
         self.h = ds.comm_direct  # (n, k_m, n_t)
         self.h_cross = ds.comm_cross
         self.u = sens_channel(ds.target_theta, ds.target_beta, scn)  # (n, n_t)
+        # Unit-norm matched combiners, normed with the two dot products
+        # np.linalg.norm takes of one complex vector, so each row is bit for
+        # bit the reference combiner of the metrics module.
+        a = steering_vector(ds.target_theta, scn.rx_steering())  # (n, n_r)
+        sq = np.matmul(a.real[:, None, :], a.real[:, :, None]) + np.matmul(a.imag[:, None, :], a.imag[:, :, None])
+        v = a / np.sqrt(sq[:, 0])
         # Combiner rows v^H G for every interfering BS; constant per sample.
-        rx = scn.rx_steering()
-        v = np.stack([mrc_combiner(t, rx) for t in ds.target_theta])  # (n, n_r)
         self.vg = {n_cell: np.einsum("br,brn->bn", v.conj(), g) for n_cell, g in ds.radar_cross.items()}
         self.xc = comm_features(self.h, cfg)
         self.xs = sens_features(self.u, cfg)
@@ -305,25 +309,21 @@ class LossContext:
 
         ``pools`` maps other cells to their published (P_i, n_t, k_i)
         beamformers; sample s pairs with pool entry s % P_i, and an entry for
-        this cell is ignored. Samples are walked in blocks of P_i so that each
-        block pairs with the pool as it is, without a gathered copy. Only
-        samples ``first`` onwards are computed; earlier rows hold no peer
-        terms and must not be read.
+        this cell is ignored. Only samples ``first`` onwards are computed;
+        earlier rows hold no peer terms and must not be read.
         """
         n = self.n_samples
         cross_c = np.zeros((n, self.k_m))
         den_s = np.full(n, self.scn.sigma_s_sq)
+        rows = np.arange(first, n)
         for i, pool in pools.items():
             if i == self.m:
                 continue
-            size = pool.shape[0]
-            for base in range(first - first % size, n, size):
-                rows = slice(max(base, first), min(base + size, n))
-                w_i = pool[rows.start - base : rows.stop - base]
-                s_c = np.einsum("bkn,bnj->bkj", self.h_cross[i][rows].conj(), w_i)
-                cross_c[rows] += np.sum(np.abs(s_c) ** 2, axis=2)
-                s_r = np.einsum("bn,bnj->bj", self.vg[i][rows], w_i)
-                den_s[rows] += np.sum(np.abs(s_r) ** 2, axis=1)
+            w_i = pool[rows % pool.shape[0]]
+            s_c = np.einsum("bkn,bnj->bkj", self.h_cross[i][first:].conj(), w_i)
+            cross_c[first:] += np.sum(np.abs(s_c) ** 2, axis=2)
+            s_r = np.einsum("bn,bnj->bj", self.vg[i][first:], w_i)
+            den_s[first:] += np.sum(np.abs(s_r) ** 2, axis=1)
         return cross_c, den_s
 
     def evaluate(
@@ -396,11 +396,7 @@ class LossContext:
         coef[positive] = np.sqrt(scn.p_t) * t_inner[positive] / norms[positive] ** 3
         g_raw = scale[:, None, None] * g_w - coef[:, None, None] * w_raw
 
-        g_full = np.zeros((bsz, cfg.n_t, cfg.k_max), dtype=np.complex128)
-        g_full[:, :, :k_m] = g_raw
-        g_y = np.stack([g_full.real, g_full.imag], axis=-1).reshape(bsz, cfg.out_dim)
-
-        grad = _mlp_backward(p, cache, g_y, cfg)
+        grad = _mlp_backward(p, cache, _padded_reals(g_raw, cfg.k_max), cfg)
         return loss, grad, r_c, r_s
 
 

@@ -17,6 +17,7 @@ scenario variants and the fixture's 25 runs are the same as under the fixed
 finals without training anything.
 """
 
+import dataclasses
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from isacfl import fl
 from isacfl.channel import RngStream
 from isacfl.cli import DESK_PRESET, main
 from isacfl.datagen import build_scenario, generate_dataset
@@ -390,7 +392,7 @@ class TestCriterion9BaselineDegenerations:
         sim = FederatedSimulation(scn, data, RunConfig(**base))
         return sim.run_rounds(3)
 
-    def test_degenerations(self):
+    def test_degenerations(self, monkeypatch):
         fixed0 = self._history("fixed_pfl", pi_fixed=0.0)
         local = self._history("local_only")
         for a, b in zip(fixed0, local):
@@ -400,7 +402,9 @@ class TestCriterion9BaselineDegenerations:
         for a, b in zip(pfedme0, local):
             assert all(abs(x - y) <= 1e-12 for x, y in zip(a.utility, b.utility))
 
-        fedper_all = self._history("fedper", fedper_shared=("comm", "sens", "fusion", "out"))
+        all_layers = ("comm", "sens", "fusion", "out")
+        monkeypatch.setitem(fl.STRATEGIES, "fedper", dataclasses.replace(fl.STRATEGIES["fedper"], server_layers=all_layers))
+        fedper_all = self._history("fedper")
         fedavg = self._history("fedavg")
         for a, b in zip(fedper_all, fedavg):
             assert all(abs(x - y) <= 1e-12 for x, y in zip(a.utility, b.utility))

@@ -51,6 +51,23 @@ class TestSteeringVector:
             steering_vector(np.pi / 2 + 0.01, SteeringConfig(4))
         with pytest.raises(ValueError):
             steering_vector(-2.0, SteeringConfig(4))
+        with pytest.raises(ValueError):
+            steering_vector(float("nan"), SteeringConfig(4))
+
+    @pytest.mark.parametrize("n_elements, spacing", [(1, 0.5), (4, 0.5), (8, 0.37)])
+    def test_array_of_angles_matches_scalar_calls(self, n_elements, spacing):
+        cfg = SteeringConfig(n_elements, spacing)
+        thetas = np.random.default_rng(1).uniform(-np.pi / 2, np.pi / 2, size=200)
+        thetas[:3] = (-np.pi / 2, 0.0, np.pi / 2)
+        rows = steering_vector(thetas, cfg)
+        assert rows.shape == (thetas.size, n_elements)
+        np.testing.assert_array_equal(rows, np.stack([steering_vector(t, cfg) for t in thetas]))
+
+    @pytest.mark.parametrize("bad", [np.pi / 2 + 1e-9, -2.0, np.nan])
+    def test_one_bad_angle_in_an_array_raises(self, bad):
+        thetas = np.array([0.1, -0.4, bad, 0.3])
+        with pytest.raises(ValueError):
+            steering_vector(thetas, SteeringConfig(4))
 
     def test_bad_config(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 from isacfl import cli, fl
 from isacfl.cli import main, read_metrics_csv, summarize
 from isacfl.datagen import generate_dataset, build_scenario, write_dataset
-from isacfl.nn import AdamState, save_adam
+from isacfl.nn import AdamState, NetConfig, param_count, save_adam
 from isacfl.svgplot import line_chart
 from test_container import rewrite_header
 
@@ -295,16 +295,17 @@ def _five_moment_values(path):
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
-        "name, damage",
+        "name, damage, message",
         [
-            ("bs0.opt.bin", _truncate_to_five_bytes),
-            ("bs0.opt.bin", _huge_header_length),
-            ("bs0.opt.bin", lambda p: rewrite_header(p, lambda h: h.pop("step"))),
-            ("bs0.opt.bin", _five_moment_values),
+            ("bs0.opt.bin", _truncate_to_five_bytes, ""),
+            ("bs0.opt.bin", _huge_header_length, ""),
+            ("bs0.opt.bin", lambda p: rewrite_header(p, lambda h: h.pop("step")), ""),
+            # the toy run's network is n_t 3, k_max 4, hidden 6
+            ("bs0.opt.bin", _five_moment_values, f"array of 5 values, expected {param_count(NetConfig(3, 4, 6))}"),
         ],
         ids=["opt-5-bytes", "opt-header-2^40", "opt-no-step", "opt-5-moment-values"],
     )
-    def test_damaged_checkpoint_is_data_error(self, toy_dataset, tmp_path, capsys, name, damage):
+    def test_damaged_checkpoint_is_data_error(self, toy_dataset, tmp_path, capsys, name, damage, message):
         out = tmp_path / "r"
         assert run_toy(toy_dataset, out) == 0
         damage(out / "round_1" / name)
@@ -312,6 +313,7 @@ class TestMalformedInput:
         assert run_toy(toy_dataset, out, "--rounds", "3", "--resume") == 3
         captured = capsys.readouterr()
         assert "data error" in captured.err
+        assert message in captured.err
         assert "resuming from" not in captured.out  # refused while loading, not later in training
 
     def test_checkpoint_of_another_network_is_data_error(self, toy_dataset, tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from isacfl.channel import RngStream
 from isacfl.container import MAX_HEADER_BYTES, DatasetFormatError, write_container
 from isacfl.datagen import build_scenario, generate_bs_dataset, read_bs_dataset, write_bs_dataset
-from isacfl.nn import AdamState, NetConfig, init_params, load_adam, load_params, save_adam, save_params
+from isacfl.nn import AdamState, NetConfig, init_params, load_adam, load_params, param_count, save_adam, save_params
 
 
 def rewrite_header(path, edit, length=None):
@@ -133,7 +133,7 @@ class TestMalformed:
         path = tmp_path / "params"
         path.write_bytes(valid_files["params"])
         rewrite_header(path, lambda h: h["net"].update(hidden=5))
-        with pytest.raises(DatasetFormatError, match="declares"):
+        with pytest.raises(DatasetFormatError, match=rf"array of \d+ values, expected {param_count(NetConfig(3, 2, 5))}$"):
             load_params(path, NetConfig(3, 2, 5))
 
 

@@ -22,7 +22,7 @@ from isacfl.fl import (
     m_step,
     mix_models,
 )
-from isacfl.nn import NetConfig, init_params, param_count
+from isacfl.nn import NetConfig, init_params, layer_dims, param_count
 
 def toy_setup(variant="heterogeneous", n_samples=80, seed=1, **run_kw):
     scn = build_scenario(variant, n_t=3, n_r=3)
@@ -307,14 +307,13 @@ class TestStrategyDegenerations:
         for a, b in zip(histories["pfedme"], histories["local_only"]):
             assert all(abs(x - y) < 1e-12 for x, y in zip(a.utility, b.utility))
 
-    def test_fedper_all_shared_equals_fedavg(self):
+    def test_fedper_all_shared_equals_fedavg(self, monkeypatch):
+        all_layers = ("comm", "sens", "fusion", "out")
+        monkeypatch.setitem(fl.STRATEGIES, "fedper", dataclasses.replace(fl.STRATEGIES["fedper"], server_layers=all_layers))
         scn, data, _ = toy_setup()
         histories = {}
-        for strategy, extra in (
-            ("fedper", {"fedper_shared": ("comm", "sens", "fusion", "out")}),
-            ("fedavg", {}),
-        ):
-            run = RunConfig(strategy=strategy, rounds=3, local_epochs=1, batch_size=16, hidden=6, seed=1, lr=1e-3, **extra)
+        for strategy in ("fedper", "fedavg"):
+            run = RunConfig(strategy=strategy, rounds=3, local_epochs=1, batch_size=16, hidden=6, seed=1, lr=1e-3)
             sim = FederatedSimulation(scn, data, run)
             histories[strategy] = sim.run_rounds(3)
         for a, b in zip(histories["fedper"], histories["fedavg"]):
@@ -390,5 +389,8 @@ class TestRunConfigValidation:
             RunConfig(rounds=0)
         with pytest.raises(ValueError):
             RunConfig(pi_fixed=1.5)
-        with pytest.raises(ValueError):
-            RunConfig(fedper_shared=("comm", "decoder"))
+
+    def test_strategies_name_only_network_layers(self):
+        layers = set(layer_dims(NetConfig(1, 1, 1)))
+        for name, spec in fl.STRATEGIES.items():
+            assert spec.server_layers and set(spec.server_layers) <= layers, name

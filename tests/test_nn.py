@@ -31,8 +31,11 @@ from isacfl.nn import (
     unpack,
     _mlp_backward,
     _mlp_forward,
+    _padded_reals,
     _project_batch,
+    _reshape_to_beams,
 )
+from isacfl.datagen import BsDataset
 from oracles import dataset_from_samples, loss_and_grad, make_sample, oracle_comm_sinr, oracle_radar_sinr
 
 TINY_SCN = Scenario(n_cells=2, n_t=3, n_r=3, k_per_cell=(2, 2), rho_per_cell=(0.4, 0.7))
@@ -348,6 +351,32 @@ class TestInterference:
             np.testing.assert_allclose(den_s[s], den, rtol=1e-9)
 
 
+class TestRadarCombiner:
+    @pytest.mark.parametrize("n_r", [1, 2, 3, 4, 5, 8, 16])
+    def test_vg_matches_per_sample_mrc_combiner(self, n_r):
+        scn = Scenario(n_cells=2, n_t=3, n_r=n_r, k_per_cell=(2, 2), rho_per_cell=(0.4, 0.7))
+        n = 300
+        gen = np.random.default_rng(60 + n_r)
+
+        def cplx(*shape):
+            return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+        ds = BsDataset(
+            scenario=scn,
+            cell=0,
+            seed=0,
+            n_train=n,
+            comm_direct=cplx(n, 2, 3),
+            comm_cross={1: cplx(n, 2, 3)},
+            radar_cross={1: cplx(n, n_r, 3)},
+            target_theta=gen.uniform(-np.pi / 2, np.pi / 2, size=n),
+            target_beta=cplx(n),
+        )
+        ctx = LossContext(NetConfig(n_t=3, k_max=2, hidden=4), ds)
+        v = np.stack([metrics.mrc_combiner(t, scn.rx_steering()) for t in ds.target_theta])
+        np.testing.assert_array_equal(ctx.vg[1], np.einsum("br,brn->bn", v.conj(), ds.radar_cross[1]))
+
+
 class TestReferenceRates:
     N = 7
 
@@ -384,7 +413,7 @@ class TestBackwardBuffer:
         _, cache = _mlp_forward(p, xc, xs)
         got = _mlp_backward(p, cache, g_y, cfg)
 
-        xc, xs, zc, _, zs, _, af, zf, f = cache
+        xc, xs, zc, zs, af, zf, f = cache
         g_zf = (g_y @ p["out"][0].T) * (zf > 0.0)
         g_af = g_zf @ p["fusion"][0].T
         g_zc = g_af[:, : cfg.hidden] * (zc > 0.0)
@@ -493,6 +522,35 @@ class TestFeatures:
         lhs = np.abs(u.conj() @ w) ** 2
         rhs = np.abs((v.conj() @ g) @ w) ** 2
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+    @pytest.mark.parametrize("k_m", [1, 2, 3])
+    def test_beams_view_inverts_padded_reals(self, k_m):
+        cfg = NetConfig(n_t=3, k_max=3, hidden=2)
+        gen = np.random.default_rng(24)
+        z = gen.standard_normal((5, 3, k_m)) + 1j * gen.standard_normal((5, 3, k_m))
+        z[0, 0, 0] = -0.0 - 0.0j
+        y = _padded_reals(z, cfg.k_max)
+        assert y.shape == (5, cfg.out_dim) and y.dtype == np.float64
+        beams = _reshape_to_beams(y, cfg, k_m)
+        assert beams.tobytes() == z.tobytes()
+        assert np.shares_memory(beams, y)
+        padding = _reshape_to_beams(y, cfg, cfg.k_max)[:, :, k_m:]
+        assert padding.tobytes() == np.zeros(padding.shape, dtype=np.complex128).tobytes()
+
+    def test_padded_reals_is_the_stacked_re_im_layout(self):
+        # the gradient g_y that the backward pass hands to the MLP, for k_m < k_max
+        cfg = NetConfig(n_t=4, k_max=3, hidden=2)
+        gen = np.random.default_rng(25)
+        g_raw = gen.standard_normal((6, 4, 2)) + 1j * gen.standard_normal((6, 4, 2))
+        g_full = np.zeros((6, cfg.n_t, cfg.k_max), dtype=np.complex128)
+        g_full[:, :, :2] = g_raw
+        want = np.stack([g_full.real, g_full.imag], axis=-1).reshape(6, cfg.out_dim)
+        assert _padded_reals(g_raw, cfg.k_max).tobytes() == want.tobytes()
+
+    def test_sens_features_are_re_im_pairs(self):
+        cfg = NetConfig(n_t=2, k_max=1, hidden=2)
+        u = np.array([[1 + 2j, 3 - 4j], [-7 + 5j, 6 + 0j]])
+        np.testing.assert_array_equal(sens_features(u, cfg), [[1, 2, 3, -4], [-7, 5, 6, 0]])
 
     def test_dimension_mismatch(self):
         cfg = NetConfig(n_t=2, k_max=2, hidden=2)
