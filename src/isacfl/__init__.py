@@ -5,16 +5,14 @@ channel data; a central server aggregates the models, and an EM-style
 posterior decides per-BS how much of the global model to absorb each round.
 """
 
-from isacfl.channel import RngStream, SteeringConfig, steering_vector, target_response
-from isacfl.metrics import ChannelSample, Scenario
+from isacfl.channel import RngStream, SteeringConfig, steering_vector
+from isacfl.metrics import Scenario
 
 __all__ = [
-    "ChannelSample",
     "RngStream",
     "Scenario",
     "SteeringConfig",
     "steering_vector",
-    "target_response",
 ]
 
 __version__ = "0.1.0"

@@ -249,27 +249,21 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _gen_data_hint(dataset_dir) -> str:
-    return (
-        f"dataset not found under {dataset_dir}; generate it first, e.g.:\n"
-        f"  isacfl gen-data --scenario heterogeneous --seed 1 --out {dataset_dir}"
-    )
-
-
 def _cmd_run(args) -> int:
     settings = _merge_run_settings(args)
     run_cfg = _run_config(settings)
     dataset_dir = Path(settings["dataset"])
     if not dataset_dir.is_dir() or not list(dataset_dir.glob("bs*.ds")):
-        raise DatasetFormatError(_gen_data_hint(dataset_dir))
-    datasets = read_dataset(dataset_dir)
-    scn = datasets[0].scenario
+        raise DatasetFormatError(
+            f"dataset not found under {dataset_dir}; generate it first, e.g.:\n"
+            f"  isacfl gen-data --scenario heterogeneous --seed 1 --out {dataset_dir}"
+        )
+    sim = FederatedSimulation(read_dataset(dataset_dir), run_cfg)
 
     out_dir = Path(settings["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "metrics.csv"
 
-    sim = FederatedSimulation(scn, datasets, run_cfg)
     kept_rows: list[dict] = []
     if args.resume:
         latest = FederatedSimulation.latest_checkpoint(out_dir)

@@ -10,6 +10,10 @@ Each draw of sample s is still seeded from its own ``(seed, stream)``, as one
 :mod:`isacfl.channel` compute those start states in bulk and draw one draw
 kind for all samples per call. ``tests/test_datagen.py`` holds the result to
 the per-sample, per-draw loop in ``tests/oracles.py`` byte for byte.
+
+A dataset's first ``n_train`` samples (90%) train and the rest evaluate; the
+file records the split, and a run's :class:`isacfl.nn.LossContext` holds it.
+Reading refuses any non-finite stored value.
 """
 
 from __future__ import annotations
@@ -89,10 +93,6 @@ class BsDataset:
     def n_samples(self) -> int:
         return self.comm_direct.shape[0]
 
-    @property
-    def eval_indices(self) -> np.ndarray:
-        return np.arange(self.n_train, self.n_samples)
-
 
 def _f32_exact(arr: np.ndarray) -> np.ndarray:
     """Round to float32 precision but keep float64/complex128 dtype."""
@@ -146,6 +146,17 @@ def generate_dataset(scn: Scenario, n_samples: int, seed: int) -> list[BsDataset
     return [generate_bs_dataset(scn, m, n_samples, seed) for m in range(scn.n_cells)]
 
 
+def check_deployment(datasets: list[BsDataset], where) -> Scenario:
+    """The one scenario of ``datasets``: one dataset per cell 0..n_cells-1, in cell order, all with one seed."""
+    first = datasets[0]
+    if any((d.scenario, d.seed) != (first.scenario, first.seed) for d in datasets):
+        raise DatasetFormatError(f"{where}: datasets come from different scenarios or seeds")
+    cells = [d.cell for d in datasets]
+    if cells != list(range(first.scenario.n_cells)):
+        raise DatasetFormatError(f"{where}: expected cells 0..{first.scenario.n_cells - 1} in order, got {cells}")
+    return first.scenario
+
+
 # ---------------------------------------------------------------------------
 # Persistence: the shared container (isacfl.container) with float32 arrays,
 # complex values stored as interleaved re/im pairs.
@@ -183,8 +194,11 @@ def write_bs_dataset(path, ds: BsDataset) -> None:
     write_container(path, header, (_as_f32(a) for a in arrays), "<f4")
 
 
-def _read_f32(reader: ContainerReader, complex_: bool, shape: tuple[int, ...]) -> np.ndarray:
+def _read_f32(reader: ContainerReader, name: str, complex_: bool, shape: tuple[int, ...]) -> np.ndarray:
     flat = reader.array(math.prod(shape) * (2 if complex_ else 1))
+    if not np.isfinite(flat).all():
+        k = int(np.argmin(np.isfinite(flat)))
+        raise DatasetFormatError(f"{reader.path}: {name} holds the non-finite value {flat[k]} at flat index {k}")
     arr = flat.view(np.complex64).astype(np.complex128) if complex_ else flat.astype(np.float64)
     return arr.reshape(shape)
 
@@ -201,11 +215,11 @@ def read_bs_dataset(path) -> BsDataset:
             raise DatasetFormatError(f"{path}: n_train {n_train} does not split {n} samples")
         k_m = scn.k_per_cell[m]
         others = [i for i in range(scn.n_cells) if i != m]
-        comm_direct = _read_f32(reader, True, (n, k_m, scn.n_t))
-        comm_cross = {i: _read_f32(reader, True, (n, k_m, scn.n_t)) for i in others}
-        theta = _read_f32(reader, False, (n,))
-        beta = _read_f32(reader, True, (n,))
-        radar_cross = {i: _read_f32(reader, True, (n, scn.n_r, scn.n_t)) for i in others}
+        comm_direct = _read_f32(reader, "comm_direct", True, (n, k_m, scn.n_t))
+        comm_cross = {i: _read_f32(reader, f"comm_cross[{i}]", True, (n, k_m, scn.n_t)) for i in others}
+        theta = _read_f32(reader, "target_theta", False, (n,))
+        beta = _read_f32(reader, "target_beta", True, (n,))
+        radar_cross = {i: _read_f32(reader, f"radar_cross[{i}]", True, (n, scn.n_r, scn.n_t)) for i in others}
     return BsDataset(
         scenario=scn,
         cell=m,
@@ -239,9 +253,5 @@ def read_dataset(directory) -> list[BsDataset]:
         raise DatasetFormatError(f"no bs*.ds files under {directory}")
     datasets = [read_bs_dataset(p) for p in paths]
     datasets.sort(key=lambda d: d.cell)
-    first = datasets[0]
-    if any((d.scenario, d.seed) != (first.scenario, first.seed) for d in datasets):
-        raise DatasetFormatError(f"{directory}: files come from different scenarios or seeds")
-    if [d.cell for d in datasets] != list(range(first.scenario.n_cells)):
-        raise DatasetFormatError(f"{directory}: expected one file per cell 0..{first.scenario.n_cells - 1}")
+    check_deployment(datasets, directory)
     return datasets

@@ -25,6 +25,10 @@ round, each BS computes its interference denominators for all its samples once
 per round (``LossContext.interference``), and every pi batch, training step and
 pFedMe inner step only indexes them; the round's evaluation does the same with
 the deployed models' pools.
+
+A BS's data lives only in its ``LossContext``: channels, cell index ``m`` and
+the dataset's train/eval split (``n_train``, ``eval_indices``). The simulation
+takes its scenario from the datasets and keeps none of them.
 """
 
 from __future__ import annotations
@@ -39,8 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from isacfl.channel import RngStream
-from isacfl.datagen import BsDataset
-from isacfl.metrics import Scenario
+from isacfl.datagen import check_deployment
 from isacfl.nn import (
     AdamState,
     LossContext,
@@ -150,12 +153,10 @@ def fedavg_aggregate(client_params: list[np.ndarray], weights: list[float]) -> n
 
 @dataclass
 class ClientState:
-    """One BS: personalized model, optimizer, data, and its last pi."""
+    """One BS: personalized model, optimizer, data (``ctx``, with the cell index ``ctx.m``), and its last pi."""
 
-    m: int
     params: np.ndarray
     adam: AdamState
-    data: BsDataset
     ctx: LossContext
     pi: float = 0.5
 
@@ -234,11 +235,11 @@ def compute_pi(
     slice (never the training stream) and averages the per-batch posteriors.
     ``interference`` is the client's ``ctx.interference`` of the round's pools.
     """
-    if client.data.n_samples < run.eval_batch:
+    if client.ctx.n_samples < run.eval_batch:
         raise ValueError(
-            f"client dataset has {client.data.n_samples} samples; need at least eval_batch={run.eval_batch}"
+            f"client dataset has {client.ctx.n_samples} samples; need at least eval_batch={run.eval_batch}"
         )
-    subset = client.data.eval_indices[: run.pi_eval_cap]
+    subset = client.ctx.eval_indices[: run.pi_eval_cap]
     perm = rng.generator().permutation(subset.size)
     shuffled = subset[perm]
     lambdas = []
@@ -259,7 +260,7 @@ def local_train(
     prox_ref: np.ndarray | None = None,
     lambda_prox: float = 0.0,
     inner_steps: int = 1,
-) -> ClientState:
+) -> None:
     """Mini-batch Adam epochs over the training stream; mutates the client.
 
     ``interference`` is the client's ``ctx.interference`` of the round's
@@ -271,7 +272,7 @@ def local_train(
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    n_train = client.data.n_train
+    n_train = client.ctx.n_train
     for epoch in range(epochs):
         perm = rng.child(epoch).generator().permutation(n_train)
         for start in range(0, n_train, batch_size):
@@ -281,31 +282,27 @@ def local_train(
                 if prox_ref is not None and lambda_prox != 0.0:
                     grad += lambda_prox * (client.params - prox_ref)
                 adam_step(client.params, grad, client.adam)
-    return client
 
 
 class FederatedSimulation:
     """Drives one experiment: clients, server state, metrics, checkpoints."""
 
-    def __init__(self, scn: Scenario, datasets: list[BsDataset], run: RunConfig):
-        if len(datasets) != scn.n_cells:
-            raise ValueError("one dataset per cell required")
+    def __init__(self, datasets: list, run: RunConfig):
+        """``datasets`` are one ``datagen.BsDataset`` per cell, in cell order; only their contexts are kept."""
+        scn = check_deployment(datasets, "simulation")
         self.scn = scn
         self.run = run
         self.net = NetConfig(n_t=scn.n_t, k_max=scn.k_max, hidden=run.hidden)
         self.master = RngStream(run.seed)
         self.global_params = init_params(self.net, self.master.child(_DOMAIN_INIT))
-        self.clients = []
-        for m, ds in enumerate(datasets):
-            self.clients.append(
-                ClientState(
-                    m=m,
-                    params=self.global_params.copy(),
-                    adam=AdamState.fresh(param_count(self.net), lr=run.lr),
-                    data=ds,
-                    ctx=LossContext(self.net, ds),
-                )
+        self.clients = [
+            ClientState(
+                params=self.global_params.copy(),
+                adam=AdamState.fresh(param_count(self.net), lr=run.lr),
+                ctx=LossContext(self.net, ds),
             )
+            for ds in datasets
+        ]
         self.round_index = 0
         self.spec = STRATEGIES[run.strategy]
         self._server_mask = np.zeros(param_count(self.net), dtype=bool)
@@ -322,8 +319,8 @@ class FederatedSimulation:
         """Each BS's beamformers on its evaluation slice (the published pool)."""
         pools = {}
         for client, params in zip(self.clients, params_by_client):
-            idx = client.data.eval_indices
-            pools[client.m] = forward_batch(
+            idx = client.ctx.eval_indices
+            pools[client.ctx.m] = forward_batch(
                 params, self.net, client.ctx.xc[idx], client.ctx.xs[idx], client.ctx.k_m, self.scn.p_t
             )
         return pools
@@ -339,7 +336,7 @@ class FederatedSimulation:
             client.pi = 0.0
         else:
             if spec.mix == "posterior":
-                pi_rng = self.master.child(_DOMAIN_PI).child(t).child(client.m)
+                pi_rng = self.master.child(_DOMAIN_PI).child(t).child(client.ctx.m)
                 client.pi = compute_pi(client, self.global_params, run, pi_rng, interference)
             else:
                 client.pi = run.pi_fixed
@@ -350,7 +347,7 @@ class FederatedSimulation:
             run.local_epochs,
             run.batch_size,
             interference,
-            self.master.child(_DOMAIN_TRAIN).child(t).child(client.m),
+            self.master.child(_DOMAIN_TRAIN).child(t).child(client.ctx.m),
             prox_ref=self.global_params if spec.proximal else None,
             lambda_prox=run.lambda_prox,
             inner_steps=run.inner_steps if spec.proximal else 1,
@@ -364,7 +361,7 @@ class FederatedSimulation:
         for client in self.clients:
             self._client_round(client, t, pools)
 
-        new_global = fedavg_aggregate([c.params for c in self.clients], [c.data.n_train for c in self.clients])
+        new_global = fedavg_aggregate([c.params for c in self.clients], [c.ctx.n_train for c in self.clients])
         self.global_params = self._take_server_layers(self.global_params, new_global)
 
         metrics = self._evaluate_round(t)
@@ -385,8 +382,8 @@ class FederatedSimulation:
         pools = self._eval_pools(deployed)
         pis, losses, comm, radar, util = [], [], [], [], []
         for client, params in zip(self.clients, deployed):
-            idx = client.data.eval_indices
-            interference = client.ctx.interference(pools, first=client.data.n_train)
+            idx = client.ctx.eval_indices
+            interference = client.ctx.interference(pools, first=client.ctx.n_train)
             loss, _, r_c, r_s = client.ctx.evaluate(params, idx, interference, want_grad=False)
             pis.append(client.pi)
             losses.append(loss)
@@ -402,9 +399,6 @@ class FederatedSimulation:
             utility=util,
             system_utility=float(sum(util)),
         )
-
-    def run_rounds(self, rounds: int) -> list[RoundMetrics]:
-        return [self.run_round() for _ in range(rounds)]
 
     # -- checkpointing ------------------------------------------------------
 
@@ -425,8 +419,8 @@ class FederatedSimulation:
         partial.mkdir(parents=True)
         save_params(partial / "global.bin", self.global_params, self.net)
         for client in self.clients:
-            save_params(partial / f"bs{client.m}.bin", client.params, self.net)
-            save_adam(partial / f"bs{client.m}.opt.bin", client.adam)
+            save_params(partial / f"bs{client.ctx.m}.bin", client.params, self.net)
+            save_adam(partial / f"bs{client.ctx.m}.opt.bin", client.adam)
         if cdir.exists():
             shutil.rmtree(cdir)
         partial.rename(cdir)
@@ -437,8 +431,8 @@ class FederatedSimulation:
         t = int(cdir.name.removeprefix("round_"))
         self.global_params = load_params(cdir / "global.bin", self.net)
         for client in self.clients:
-            client.params = load_params(cdir / f"bs{client.m}.bin", self.net)
-            client.adam = load_adam(cdir / f"bs{client.m}.opt.bin", param_count(self.net))
+            client.params = load_params(cdir / f"bs{client.ctx.m}.bin", self.net)
+            client.adam = load_adam(cdir / f"bs{client.ctx.m}.opt.bin", param_count(self.net))
         self.round_index = t + 1
 
     @staticmethod

@@ -13,7 +13,7 @@ interference terms and are treated as constants (no cross-BS gradient flow).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,6 +29,12 @@ ADAM_MAGIC = "isacfl-adam"
 FORMAT_VERSION = 1
 
 POWER_TOL = 1e-9
+
+# Adam's fixed hyperparameters; an optimizer file written with others is refused.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+_ADAM_FIXED = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
 
 _power_checks = 0
 
@@ -112,16 +118,10 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def fresh(cls, n_params: int, lr: float = 1e-4) -> "AdamState":
         return cls(m=np.zeros(n_params), v=np.zeros(n_params), lr=lr)
-
-    def copy(self) -> "AdamState":
-        return replace(self, m=self.m.copy(), v=self.v.copy())
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
@@ -140,18 +140,18 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     m, v = state.m, state.v
     tmp = np.empty_like(grad)
     den = np.empty_like(grad)
-    np.multiply(m, state.beta1, out=m)
-    np.multiply(grad, 1.0 - state.beta1, out=tmp)
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=tmp)
     np.add(m, tmp, out=m)
-    np.multiply(v, state.beta2, out=v)
-    np.multiply(grad, 1.0 - state.beta2, out=tmp)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
     np.multiply(tmp, grad, out=tmp)
     np.add(v, tmp, out=v)
-    np.divide(m, 1.0 - state.beta1**t, out=tmp)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=tmp)
     np.multiply(tmp, state.lr, out=tmp)
-    np.divide(v, 1.0 - state.beta2**t, out=den)
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=den)
     np.sqrt(den, out=den)
-    np.add(den, state.eps, out=den)
+    np.add(den, ADAM_EPS, out=den)
     np.divide(tmp, den, out=tmp)
     np.subtract(params, tmp, out=params)
     state.step = t
@@ -269,11 +269,13 @@ def forward_batch(params: np.ndarray, cfg: NetConfig, xc: np.ndarray, xs: np.nda
 
 
 class LossContext:
-    """Precomputed tensors for one BS's training objective over its dataset.
+    """One BS's data, held in the form its training objective reads.
 
-    Holds the direct/cross channels, network input features, and the
-    combiner-projected radar leakage rows, so that repeated mini-batch
-    evaluations only index and multiply.
+    Holds the direct/cross channels, network input features, the
+    combiner-projected radar leakage rows and the train/eval split
+    (``n_train`` and ``eval_indices``), so that repeated mini-batch
+    evaluations only index and multiply. The dataset's radar channels, target
+    angles and target coefficients are read here and not kept.
     """
 
     def __init__(self, cfg: NetConfig, ds: BsDataset):
@@ -286,6 +288,9 @@ class LossContext:
         self.scn = scn
         self.m = m
         self.k_m = scn.k_per_cell[m]
+        self.n_samples = ds.n_samples
+        self.n_train = ds.n_train
+        self.eval_indices = np.arange(ds.n_train, ds.n_samples)
         self.h = ds.comm_direct  # (n, k_m, n_t)
         self.h_cross = ds.comm_cross
         self.u = sens_channel(ds.target_theta, ds.target_beta, scn)  # (n, n_t)
@@ -299,10 +304,6 @@ class LossContext:
         self.vg = {n_cell: np.einsum("br,brn->bn", v.conj(), g) for n_cell, g in ds.radar_cross.items()}
         self.xc = comm_features(self.h, cfg)
         self.xs = sens_features(self.u, cfg)
-
-    @property
-    def n_samples(self) -> int:
-        return self.h.shape[0]
 
     def interference(self, pools: dict[int, np.ndarray], first: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Constant interference terms of every sample: (n, k_m) comm and (n,) radar denominators.
@@ -432,9 +433,7 @@ def save_adam(path, state: AdamState) -> None:
         "version": FORMAT_VERSION,
         "step": state.step,
         "lr": state.lr,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "eps": state.eps,
+        **_ADAM_FIXED,
     }
     write_container(path, header, [state.m, state.v], "<f8")
 
@@ -445,7 +444,10 @@ def load_adam(path, n_params: int) -> AdamState:
         reader = ContainerReader(fh, path, ADAM_MAGIC, FORMAT_VERSION, "<f8")
         m = reader.array(n_params).astype(np.float64)
         v = reader.array(n_params).astype(np.float64)
-        hyper = {key: reader.header[key] for key in ("step", "lr", "beta1", "beta2", "eps")}
+        hyper = {key: reader.header[key] for key in ("step", "lr", *_ADAM_FIXED)}
         if not isinstance(hyper["step"], int) or not all(isinstance(value, (int, float)) for value in hyper.values()):
             raise DatasetFormatError(f"{path}: optimizer settings must be numbers, got {hyper}")
-        return AdamState(m=m, v=v, **hyper)
+        for key, fixed in _ADAM_FIXED.items():
+            if hyper[key] != fixed:
+                raise DatasetFormatError(f"{path}: written with Adam {key} {hyper[key]}, this program uses {fixed}")
+        return AdamState(m=m, v=v, step=hyper["step"], lr=hyper["lr"])

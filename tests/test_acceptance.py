@@ -95,8 +95,8 @@ def _desk_job(args):
     data = generate_dataset(scn, DESK_PRESET["samples"], seed=seed)
     rows = []
     for strategy in strategies:
-        sim = FederatedSimulation(scn, data, desk_run_config(strategy, seed))
-        history = sim.run_rounds(DESK_PRESET["rounds"])
+        sim = FederatedSimulation(data, desk_run_config(strategy, seed))
+        history = [sim.run_round() for _ in range(DESK_PRESET["rounds"])]
         rows.append(
             {
                 "variant": variant,
@@ -240,12 +240,12 @@ class TestCriterion3EmAlgebra:
         scn = build_scenario("heterogeneous", n_t=3, n_r=3)
         data = generate_dataset(scn, 80, seed=7)  # eval slice of 8 < eval_batch
         run = RunConfig(strategy="em_pfl", rounds=1, local_epochs=1, batch_size=16, hidden=6, seed=7, lr=1e-3)
-        sim = FederatedSimulation(scn, data, run)
+        sim = FederatedSimulation(data, run)
         client = sim.clients[0]
         other = init_params(sim.net, RngStream(123))
         interference = client.ctx.interference(sim._eval_pools([c.params for c in sim.clients]))
         pi = compute_pi(client, other, run, RngStream(9), interference)
-        idx = client.data.eval_indices
+        idx = client.ctx.eval_indices
         lg, _, _, _ = client.ctx.evaluate(other, idx, interference, want_grad=False)
         ll, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)
         assert abs(pi - e_step(lg, ll, run.kappa)) < 1e-15
@@ -259,9 +259,10 @@ class TestCriterion4PowerFeasibility:
         scn = build_scenario("heterogeneous", n_t=DESK_PRESET["n_t"], n_r=DESK_PRESET["n_r"])
         data = generate_dataset(scn, 200, seed=11)
         run = desk_run_config("em_pfl", seed=11)
-        sim = FederatedSimulation(scn, data, run)
+        sim = FederatedSimulation(data, run)
         before = power_checks_performed()
-        sim.run_rounds(5)  # every forward pass self-checks; a violation raises
+        for _ in range(5):
+            sim.run_round()  # every forward pass self-checks; a violation raises
         checks = power_checks_performed() - before
         assert checks >= 100  # every training step and evaluation was guarded
         assert len(desk_results) == 25
@@ -389,8 +390,8 @@ class TestCriterion9BaselineDegenerations:
         data = generate_dataset(scn, 100, seed=3)
         base = dict(strategy=strategy, rounds=3, local_epochs=2, batch_size=16, hidden=8, seed=3, lr=1e-3)
         base.update(overrides)
-        sim = FederatedSimulation(scn, data, RunConfig(**base))
-        return sim.run_rounds(3)
+        sim = FederatedSimulation(data, RunConfig(**base))
+        return [sim.run_round() for _ in range(3)]
 
     def test_degenerations(self, monkeypatch):
         fixed0 = self._history("fixed_pfl", pi_fixed=0.0)

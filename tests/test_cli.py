@@ -217,19 +217,6 @@ class TestRun:
         )
         assert rc == 2
 
-    def test_nan_dataset_exits_4(self, tmp_path):
-        scn = build_scenario("heterogeneous", n_t=3, n_r=3)
-        data = generate_dataset(scn, 40, seed=1)
-        data[0].comm_direct[:] = np.nan
-        write_dataset(tmp_path / "bad", data)
-        rc = main(
-            [
-                "run", "--dataset", str(tmp_path / "bad"), "--out", str(tmp_path / "o"),
-                "--rounds", "1", "--local-epochs", "1", "--batch-size", "16", "--hidden", "6", "--quiet",
-            ]
-        )
-        assert rc == 4
-
 
 class TestBadSettings:
     @pytest.mark.parametrize(
@@ -302,8 +289,13 @@ class TestMalformedInput:
             ("bs0.opt.bin", lambda p: rewrite_header(p, lambda h: h.pop("step")), ""),
             # the toy run's network is n_t 3, k_max 4, hidden 6
             ("bs0.opt.bin", _five_moment_values, f"array of 5 values, expected {param_count(NetConfig(3, 4, 6))}"),
+            (
+                "bs0.opt.bin",
+                lambda p: rewrite_header(p, lambda h: h.update(beta1=0.5)),
+                "written with Adam beta1 0.5, this program uses 0.9",
+            ),
         ],
-        ids=["opt-5-bytes", "opt-header-2^40", "opt-no-step", "opt-5-moment-values"],
+        ids=["opt-5-bytes", "opt-header-2^40", "opt-no-step", "opt-5-moment-values", "opt-beta1-0.5"],
     )
     def test_damaged_checkpoint_is_data_error(self, toy_dataset, tmp_path, capsys, name, damage, message):
         out = tmp_path / "r"
@@ -341,6 +333,23 @@ class TestMalformedInput:
         damage(data / "bs1.ds")
         assert run_toy(data, tmp_path / "r") == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cell, name, element, value, message",
+        [
+            (1, "comm_direct", 4, np.nan, "bs1.ds: comm_direct holds the non-finite value nan at flat index 8"),
+            (0, "target_beta", 5, np.inf, "bs0.ds: target_beta holds the non-finite value inf at flat index 10"),
+            (2, "target_theta", 3, np.nan, "bs2.ds: target_theta holds the non-finite value nan at flat index 3"),
+        ],
+        ids=["comm-direct-nan", "target-beta-inf", "target-theta-nan"],
+    )
+    def test_non_finite_dataset_is_data_error(self, tmp_path, capsys, cell, name, element, value, message):
+        data = generate_dataset(build_scenario("heterogeneous", n_t=3, n_r=3), 40, seed=1)
+        getattr(data[cell], name).reshape(-1)[element] = value
+        write_dataset(tmp_path / "bad", data)
+        assert run_toy(tmp_path / "bad", tmp_path / "r") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
 
     def test_mixed_dataset_directory_is_data_error(self, tmp_path, capsys):
         for variant, seed in (("heterogeneous", 3), ("homogeneous", 4)):

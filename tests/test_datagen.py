@@ -87,7 +87,6 @@ class TestGeneration:
     def test_split_is_90_10(self, small_data):
         ds = small_data[0]
         assert ds.n_train == 36
-        assert list(ds.eval_indices) == list(range(36, 40))
 
     def test_too_few_samples(self, small_scn):
         with pytest.raises(ValueError):
@@ -175,6 +174,13 @@ class TestPersistence:
         write_bs_dataset(tmp_path / "d" / "bs2.ds", stray)
         with pytest.raises(DatasetFormatError, match="different scenarios or seeds"):
             read_dataset(tmp_path / "d")
+
+    def test_non_finite_value_named(self, tmp_path, small_scn):
+        ds = generate_bs_dataset(small_scn, 0, 40, seed=9)
+        ds.radar_cross[2].reshape(-1)[7] = complex(0.5, np.inf)
+        write_bs_dataset(tmp_path / "bs0.ds", ds)
+        with pytest.raises(DatasetFormatError, match=r"bs0\.ds: radar_cross\[2\] holds the non-finite value inf at flat index 15"):
+            read_bs_dataset(tmp_path / "bs0.ds")
 
     def test_not_a_dataset(self, tmp_path):
         path = tmp_path / "junk.ds"

@@ -3,13 +3,14 @@
 import dataclasses
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from isacfl import fl
 from isacfl.channel import RngStream
-from isacfl.datagen import build_scenario, generate_dataset
+from isacfl.datagen import build_scenario, generate_bs_dataset, generate_dataset
 from isacfl.fl import (
     STRATEGIES,
     FederatedSimulation,
@@ -135,7 +136,7 @@ class TestFedavgAggregate:
 class TestComputePi:
     def test_identical_models_give_half(self):
         scn, data, run = toy_setup()
-        sim = FederatedSimulation(scn, data, run)
+        sim = FederatedSimulation(data, run)
         client = sim.clients[0]
         pools = sim._eval_pools([c.params for c in sim.clients])
         pi = compute_pi(client, sim.global_params, run, RngStream(5), client.ctx.interference(pools))
@@ -144,13 +145,13 @@ class TestComputePi:
     def test_single_batch_equals_e_step(self):
         # eval slice smaller than eval_batch -> B = 1 -> pi == e_step of full losses
         scn, data, run = toy_setup(n_samples=80)
-        sim = FederatedSimulation(scn, data, run)
+        sim = FederatedSimulation(data, run)
         client = sim.clients[1]
         other = init_params(sim.net, RngStream(99))
         pools = sim._eval_pools([c.params for c in sim.clients])
         interference = client.ctx.interference(pools)
         pi = compute_pi(client, other, run, RngStream(6), interference)
-        idx = client.data.eval_indices
+        idx = client.ctx.eval_indices
         lg, _, _, _ = client.ctx.evaluate(other, idx, interference, want_grad=False)
         ll, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)
         assert abs(pi - e_step(lg, ll, run.kappa)) < 1e-15
@@ -163,11 +164,11 @@ class TestComputePi:
         )
         data = generate_dataset(scn, 80, seed=2)
         run = RunConfig(strategy="em_pfl", rounds=1, local_epochs=2, batch_size=16, hidden=8, seed=2, lr=1e-3)
-        sim = FederatedSimulation(scn, data, run)
+        sim = FederatedSimulation(data, run)
         client = sim.clients[0]
         no_peers = client.ctx.interference({})
         local_train(client, 2, 16, no_peers, RngStream(7))
-        idx = client.data.eval_indices
+        idx = client.ctx.eval_indices
         ll, _, _, _ = client.ctx.evaluate(client.params, idx, no_peers, want_grad=False)
         assert ll < -5.0  # utility above 5 bits
         zero_global = np.zeros(param_count(sim.net))
@@ -176,7 +177,7 @@ class TestComputePi:
 
     def test_dataset_too_small(self):
         scn, data, run = toy_setup(n_samples=40, eval_batch=64)
-        sim = FederatedSimulation(scn, data, run)
+        sim = FederatedSimulation(data, run)
         client = sim.clients[0]
         with pytest.raises(ValueError):
             compute_pi(client, sim.global_params, run, RngStream(9), client.ctx.interference({}))
@@ -185,7 +186,7 @@ class TestComputePi:
 class TestLocalTrain:
     def test_zero_lr_keeps_params(self):
         scn, data, run = toy_setup()
-        sim = FederatedSimulation(scn, data, run)
+        sim = FederatedSimulation(data, run)
         client = sim.clients[0]
         client.adam.lr = 0.0
         before = client.params.copy()
@@ -196,10 +197,10 @@ class TestLocalTrain:
 
     def test_full_batch_step_decreases_loss(self):
         scn, data, run = toy_setup(n_samples=40, local_epochs=1)
-        sim = FederatedSimulation(scn, data, run)
+        sim = FederatedSimulation(data, run)
         client = sim.clients[0]
         interference = client.ctx.interference(sim._eval_pools([c.params for c in sim.clients]))
-        idx = np.arange(client.data.n_train)
+        idx = np.arange(client.ctx.n_train)
         before, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)
         local_train(client, 1, len(idx), interference, RngStream(11))
         after, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)
@@ -209,7 +210,7 @@ class TestLocalTrain:
         results = []
         for _ in range(2):
             scn, data, run = toy_setup()
-            sim = FederatedSimulation(scn, data, run)
+            sim = FederatedSimulation(data, run)
             client = sim.clients[2]
             interference = client.ctx.interference(sim._eval_pools([c.params for c in sim.clients]))
             local_train(client, 2, 16, interference, RngStream(12))
@@ -221,14 +222,14 @@ class TestRounds:
     def test_first_round_pi_is_half(self):
         # clients start from the broadcast init, so both models coincide
         scn, data, run = toy_setup()
-        sim = FederatedSimulation(scn, data, run)
+        sim = FederatedSimulation(data, run)
         metrics = sim.run_round()
         assert metrics.pi == [0.5, 0.5, 0.5]
 
     def test_toy_run_structurally_sound(self):
         scn, data, run = toy_setup(rounds=10)
-        sim = FederatedSimulation(scn, data, run)
-        history = sim.run_rounds(10)
+        sim = FederatedSimulation(data, run)
+        history = [sim.run_round() for _ in range(10)]
         assert len(history) == 10
         for h in history:
             h.check_finite()
@@ -237,25 +238,52 @@ class TestRounds:
 
     def test_checkpoint_resume_identical(self, tmp_path):
         scn, data, run = toy_setup(rounds=4)
-        sim = FederatedSimulation(scn, data, run)
-        full = [m.system_utility for m in sim.run_rounds(4)]
+        sim = FederatedSimulation(data, run)
+        full = [sim.run_round().system_utility for _ in range(4)]
 
         scn2, data2, run2 = toy_setup(rounds=4)
-        sim2 = FederatedSimulation(scn2, data2, run2)
-        sim2.run_rounds(2)
+        sim2 = FederatedSimulation(data2, run2)
+        for _ in range(2):
+            sim2.run_round()
         sim2.save_checkpoint(tmp_path)
-        sim3 = FederatedSimulation(scn2, data2, run2)
+        sim3 = FederatedSimulation(data2, run2)
         sim3.restore_checkpoint(FederatedSimulation.latest_checkpoint(tmp_path))
         assert sim3.round_index == 2
-        resumed = [m.system_utility for m in sim3.run_rounds(2)]
+        resumed = [sim3.run_round().system_utility for _ in range(2)]
         assert resumed == full[2:]
+
+
+class TestDataOwnership:
+    """A simulation keeps each BS's data only as its LossContext, built from one checked deployment."""
+
+    def test_raw_dataset_arrays_released(self):
+        _, data, run = toy_setup()
+        refs = [weakref.ref(a) for ds in data for a in (*ds.radar_cross.values(), ds.target_theta, ds.target_beta)]
+        sim = FederatedSimulation(data, run)
+        del data
+        assert [i for i, ref in enumerate(refs) if ref() is not None] == []
+        sim.run_round()
+
+    @pytest.mark.parametrize(
+        "arrange",
+        [
+            lambda scn, data: data[::-1],
+            lambda scn, data: [data[0], data[0], data[2]],
+            lambda scn, data: [*data[:2], generate_bs_dataset(dataclasses.replace(scn, p_t=4.0), 2, 80, seed=1)],
+        ],
+        ids=["reversed", "repeated-cell", "mixed-scenarios"],
+    )
+    def test_datasets_must_be_one_per_cell_of_one_scenario(self, arrange):
+        scn, data, run = toy_setup()
+        with pytest.raises(ValueError):
+            FederatedSimulation(arrange(scn, data), run)
 
 
 def shared_buffers(sim):
     """Names of every pair among the global params, client params and Adam moments that share memory."""
     arrays = {"global": sim.global_params}
     for c in sim.clients:
-        arrays.update({f"bs{c.m}.params": c.params, f"bs{c.m}.m": c.adam.m, f"bs{c.m}.v": c.adam.v})
+        arrays.update({f"bs{c.ctx.m}.params": c.params, f"bs{c.ctx.m}.m": c.adam.m, f"bs{c.ctx.m}.v": c.adam.v})
     return [(a, b) for (a, x), (b, y) in itertools.combinations(arrays.items(), 2) if np.shares_memory(x, y)]
 
 
@@ -265,7 +293,7 @@ class TestInPlaceUpdates:
     @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
     def test_no_shared_buffers_and_global_untouched(self, strategy, monkeypatch):
         scn, data, run = toy_setup(strategy=strategy, rounds=1)
-        sim = FederatedSimulation(scn, data, run)
+        sim = FederatedSimulation(data, run)
         real_local_train = fl.local_train
         seen = []
 
@@ -288,8 +316,8 @@ class TestStrategyDegenerations:
         runs = {}
         for strategy, extra in (("fixed_pfl", {"pi_fixed": 0.0}), ("local_only", {})):
             run = RunConfig(strategy=strategy, rounds=3, local_epochs=1, batch_size=16, hidden=6, seed=1, lr=1e-3, **extra)
-            sim = FederatedSimulation(scn, data, run)
-            runs[strategy] = sim.run_rounds(3)
+            sim = FederatedSimulation(data, run)
+            runs[strategy] = [sim.run_round() for _ in range(3)]
         for a, b in zip(runs["fixed_pfl"], runs["local_only"]):
             assert all(abs(x - y) < 1e-12 for x, y in zip(a.utility, b.utility))
             assert abs(a.system_utility - b.system_utility) < 1e-12
@@ -302,8 +330,8 @@ class TestStrategyDegenerations:
             ("local_only", {}),
         ):
             run = RunConfig(strategy=strategy, rounds=3, local_epochs=1, batch_size=16, hidden=6, seed=1, lr=1e-3, **extra)
-            sim = FederatedSimulation(scn, data, run)
-            histories[strategy] = sim.run_rounds(3)
+            sim = FederatedSimulation(data, run)
+            histories[strategy] = [sim.run_round() for _ in range(3)]
         for a, b in zip(histories["pfedme"], histories["local_only"]):
             assert all(abs(x - y) < 1e-12 for x, y in zip(a.utility, b.utility))
 
@@ -314,8 +342,8 @@ class TestStrategyDegenerations:
         histories = {}
         for strategy in ("fedper", "fedavg"):
             run = RunConfig(strategy=strategy, rounds=3, local_epochs=1, batch_size=16, hidden=6, seed=1, lr=1e-3)
-            sim = FederatedSimulation(scn, data, run)
-            histories[strategy] = sim.run_rounds(3)
+            sim = FederatedSimulation(data, run)
+            histories[strategy] = [sim.run_round() for _ in range(3)]
         for a, b in zip(histories["fedper"], histories["fedavg"]):
             assert all(abs(x - y) < 1e-12 for x, y in zip(a.utility, b.utility))
             assert abs(a.system_utility - b.system_utility) < 1e-12
@@ -323,8 +351,9 @@ class TestStrategyDegenerations:
     def test_fedper_keeps_local_head(self):
         scn, data, _ = toy_setup()
         run = RunConfig(strategy="fedper", rounds=2, local_epochs=1, batch_size=16, hidden=6, seed=1, lr=1e-3)
-        sim = FederatedSimulation(scn, data, run)
-        sim.run_rounds(2)
+        sim = FederatedSimulation(data, run)
+        for _ in range(2):
+            sim.run_round()
         head = ~sim._server_mask
         # the global head never moved from its initialization
         init = init_params(sim.net, RngStream(run.seed).child(0))
@@ -334,7 +363,7 @@ class TestStrategyDegenerations:
 
     def test_pfedme_prox_gradient_matches_finite_difference(self):
         scn, data, run = toy_setup()
-        sim = FederatedSimulation(scn, data, run)
+        sim = FederatedSimulation(data, run)
         client = sim.clients[0]
         ref = init_params(sim.net, RngStream(55))
         lam = 2.5
@@ -365,7 +394,7 @@ class TestStrategyDegenerations:
                 strategy="pfedme", rounds=1, local_epochs=1, batch_size=16, hidden=6, seed=1, lr=1e-3,
                 lambda_prox=lam, inner_steps=1,
             )
-            sim = FederatedSimulation(scn, data, run)
+            sim = FederatedSimulation(data, run)
             start_global = sim.global_params.copy()
             sim.run_round()
             dists[lam] = np.linalg.norm(sim.clients[0].params - start_global)
@@ -374,9 +403,9 @@ class TestStrategyDegenerations:
     def test_local_only_reports_zero_pi(self):
         scn, data, _ = toy_setup()
         run = RunConfig(strategy="local_only", rounds=2, local_epochs=1, batch_size=16, hidden=6, seed=1, lr=1e-3)
-        sim = FederatedSimulation(scn, data, run)
-        for h in sim.run_rounds(2):
-            assert h.pi == [0.0, 0.0, 0.0]
+        sim = FederatedSimulation(data, run)
+        for _ in range(2):
+            assert sim.run_round().pi == [0.0, 0.0, 0.0]
 
 
 class TestRunConfigValidation:

@@ -11,6 +11,9 @@ from isacfl.container import DatasetFormatError
 from isacfl import metrics
 from isacfl.metrics import Scenario
 from isacfl.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     LossContext,
     NetConfig,
@@ -35,7 +38,7 @@ from isacfl.nn import (
     _project_batch,
     _reshape_to_beams,
 )
-from isacfl.datagen import BsDataset
+from isacfl.datagen import BsDataset, build_scenario, generate_bs_dataset
 from oracles import dataset_from_samples, loss_and_grad, make_sample, oracle_comm_sinr, oracle_radar_sinr
 
 TINY_SCN = Scenario(n_cells=2, n_t=3, n_r=3, k_per_cell=(2, 2), rho_per_cell=(0.4, 0.7))
@@ -228,7 +231,7 @@ class TestAdam:
     def test_zero_gradient_is_noop(self):
         params = init_params(TINY_CFG, RngStream(15))
         state = AdamState.fresh(params.size, lr=1e-3)
-        stepped, stepped_state = params.copy(), state.copy()
+        stepped, stepped_state = params.copy(), dataclasses.replace(state, m=state.m.copy(), v=state.v.copy())
         adam_step(stepped, np.zeros_like(params), stepped_state)
         np.testing.assert_array_equal(stepped, params)
         assert stepped_state.step == 1 and state.step == 0
@@ -254,8 +257,8 @@ class TestAdam:
         params = init_params(TINY_CFG, RngStream(16))
         grad = RngStream(17).generator().standard_normal(params.size)
         state = AdamState.fresh(params.size)
-        a1, s1 = params.copy(), state.copy()
-        a2, s2 = params.copy(), state.copy()
+        a1, s1 = params.copy(), dataclasses.replace(state, m=state.m.copy(), v=state.v.copy())
+        a2, s2 = params.copy(), dataclasses.replace(state, m=state.m.copy(), v=state.v.copy())
         adam_step(a1, grad, s1)
         adam_step(a2, grad, s2)
         np.testing.assert_array_equal(a1, a2)
@@ -267,7 +270,7 @@ class TestAdam:
         state = AdamState.fresh(params.size, lr=1e-3)
         gen = RngStream(25).generator()
         theta, m, v = params.copy(), np.zeros(params.size), np.zeros(params.size)
-        b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.lr, ADAM_EPS
         for t in range(1, 51):
             g = gen.standard_normal(theta.size)
             g[::7] = 0.0
@@ -375,6 +378,14 @@ class TestRadarCombiner:
         ctx = LossContext(NetConfig(n_t=3, k_max=2, hidden=4), ds)
         v = np.stack([metrics.mrc_combiner(t, scn.rx_steering()) for t in ds.target_theta])
         np.testing.assert_array_equal(ctx.vg[1], np.einsum("br,brn->bn", v.conj(), ds.radar_cross[1]))
+
+
+class TestContextSplit:
+    def test_split_and_eval_slice(self):
+        ds = generate_bs_dataset(build_scenario("heterogeneous", n_t=3, n_r=3), 1, 40, seed=9)
+        ctx = LossContext(NetConfig(n_t=3, k_max=4, hidden=4), ds)
+        assert ctx.m == 1 and ctx.n_train == 36
+        assert list(ctx.eval_indices) == list(range(36, 40))
 
 
 class TestReferenceRates:
