@@ -163,14 +163,23 @@ class SteeringConfig:
             raise ValueError(f"element spacing must be > 0, got {self.element_spacing_wavelengths}")
 
 
+def angles_out_of_range(theta: float | np.ndarray) -> np.ndarray:
+    """Flat indices of the angles in ``theta`` outside [-pi/2, pi/2], the range :func:`steering_vector` takes (NaN is outside)."""
+    theta = np.asarray(theta)
+    return np.flatnonzero(~((-np.pi / 2 <= theta) & (theta <= np.pi / 2)))
+
+
 def steering_vector(theta: float | np.ndarray, cfg: SteeringConfig) -> np.ndarray:
     """ULA steering vector toward angle ``theta`` (radians, broadside = 0).
 
     Entry i is exp(j 2*pi * spacing * i * sin(theta)); entry 0 is always 1.
     A 1-d array of angles gives one vector per angle, shape (n, n_elements).
     """
-    if not np.all((-np.pi / 2 <= theta) & (theta <= np.pi / 2)):
-        raise ValueError(f"theta must lie in [-pi/2, pi/2], got {theta}")
+    bad = angles_out_of_range(theta)
+    if bad.size:
+        raise ValueError(
+            f"theta must lie in [-pi/2, pi/2]; {bad.size} angle(s) outside, the first {np.ravel(theta)[bad[0]]} at index {bad[0]}"
+        )
     idx = np.arange(cfg.n_elements)
     phase = 2.0 * np.pi * cfg.element_spacing_wavelengths * idx * np.sin(theta)[..., None]
     return np.exp(1j * phase)

@@ -37,18 +37,19 @@ from isacfl.svgplot import line_chart
 
 CSV_FIELDS = ("round", "bs", "pi", "loss", "comm_rate", "radar_rate", "utility", "system_utility")
 
+# gen-data's full-scale dataset shape; RunConfig holds the run settings.
+FULL_SCALE = {"n_t": 8, "n_r": 8, "samples": 20000}
+
 # Laptop-sized preset: same three-cell scenario, smaller arrays and budget,
-# tuned so the strategies separate within 30 rounds.
+# tuned so the strategies separate within 30 rounds. It holds only the values
+# that differ from FULL_SCALE and RunConfig.
 DESK_PRESET = {
     "n_t": 4,
     "n_r": 4,
     "samples": 2000,
     "rounds": 30,
-    "local_epochs": 5,
-    "batch_size": 64,
     "hidden": 32,
     "lr": 1e-3,
-    "kappa": 1.0,
 }
 
 UTILITY_SUBTITLE = "raw (unnormalized) utilities; absolute values depend on the synthetic channel model"
@@ -225,16 +226,8 @@ def summarize(rows: list[dict]) -> dict:
 
 
 def _cmd_gen_data(args) -> int:
-    n_t = args.n_t
-    n_r = args.n_r
-    samples = args.samples
-    if args.preset == "desk":
-        n_t = n_t if n_t is not None else DESK_PRESET["n_t"]
-        n_r = n_r if n_r is not None else DESK_PRESET["n_r"]
-        samples = samples if samples is not None else DESK_PRESET["samples"]
-    n_t = n_t if n_t is not None else 8
-    n_r = n_r if n_r is not None else 8
-    samples = samples if samples is not None else 20000
+    preset = DESK_PRESET if args.preset == "desk" else FULL_SCALE
+    n_t, n_r, samples = (preset[key] if getattr(args, key) is None else getattr(args, key) for key in ("n_t", "n_r", "samples"))
     if samples < MIN_SAMPLES:
         raise ConfigError(f"--samples must be >= {MIN_SAMPLES}, got {samples}")
     try:
@@ -404,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-data", help="generate synthetic channel datasets")
     gen.add_argument("--scenario", required=True, choices=SCENARIO_VARIANTS, help="scenario variant")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--samples", type=int, default=None, help="samples per BS (default 20000, desk preset 2000)")
-    gen.add_argument("--n-t", dest="n_t", type=int, default=None, help="transmit antennas (default 8)")
-    gen.add_argument("--n-r", dest="n_r", type=int, default=None, help="receive antennas (default 8)")
+    for key, what in (("samples", "samples per BS"), ("n_t", "transmit antennas"), ("n_r", "receive antennas")):
+        helptext = f"{what} (default {FULL_SCALE[key]}, desk preset {DESK_PRESET[key]})"
+        gen.add_argument("--" + key.replace("_", "-"), dest=key, type=int, default=None, help=helptext)
     gen.add_argument("--preset", choices=("desk",), default=None)
     gen.add_argument("--out", default=None, help="output directory (default data/<scenario>/<seed>)")
     gen.set_defaults(func=_cmd_gen_data)

@@ -13,7 +13,8 @@ the per-sample, per-draw loop in ``tests/oracles.py`` byte for byte.
 
 A dataset's first ``n_train`` samples (90%) train and the rest evaluate; the
 file records the split, and a run's :class:`isacfl.nn.LossContext` holds it.
-Reading refuses any non-finite stored value.
+Reading refuses any non-finite stored value and any target angle outside
+[-pi/2, pi/2].
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from isacfl.channel import RngStream, sample_rcs, sample_rician, sample_uniform
+from isacfl.channel import RngStream, angles_out_of_range, sample_rcs, sample_rician, sample_uniform
 # DatasetFormatError and DatasetVersionError are re-exported: callers catch them from here.
 from isacfl.container import ContainerReader, DatasetFormatError, DatasetVersionError, decoding, write_container
 from isacfl.metrics import Scenario
@@ -51,7 +52,7 @@ _DRAW_BETA = 2001
 _DRAW_RADAR = 3000
 
 
-def build_scenario(variant: str, n_t: int = 8, n_r: int = 8, **overrides) -> Scenario:
+def build_scenario(variant: str, n_t: int, n_r: int, **overrides) -> Scenario:
     """Three-cell deployment for a named experiment variant.
 
     Heterogeneous variants spread the comm/sensing trade-off weights across
@@ -66,7 +67,6 @@ def build_scenario(variant: str, n_t: int = 8, n_r: int = 8, **overrides) -> Sce
         "n_r": n_r,
         "k_per_cell": (2, 2, 2) if variant.startswith("equal_ue") else (2, 3, 4),
         "rho_per_cell": (0.2, 0.6, 0.8) if variant.endswith("heterogeneous") else (0.5, 0.5, 0.5),
-        "rician_k": 3.0,
     }
     return Scenario(**{**preset, **overrides})
 
@@ -218,6 +218,9 @@ def read_bs_dataset(path) -> BsDataset:
         comm_direct = _read_f32(reader, "comm_direct", True, (n, k_m, scn.n_t))
         comm_cross = {i: _read_f32(reader, f"comm_cross[{i}]", True, (n, k_m, scn.n_t)) for i in others}
         theta = _read_f32(reader, "target_theta", False, (n,))
+        bad = angles_out_of_range(theta)
+        if bad.size:
+            raise DatasetFormatError(f"{path}: target_theta holds the angle {theta[bad[0]]} outside [-pi/2, pi/2] at index {bad[0]}")
         beta = _read_f32(reader, "target_beta", True, (n,))
         radar_cross = {i: _read_f32(reader, f"radar_cross[{i}]", True, (n, scn.n_r, scn.n_t)) for i in others}
     return BsDataset(

@@ -68,7 +68,7 @@ class Strategy:
     the EM weight pi, "fixed" with ``RunConfig.pi_fixed``, "take" copies the
     server-owned layers (reported as pi = 1), and "keep" leaves the local
     model alone (pi = 0). ``proximal`` adds pFedMe's pull toward the global
-    model, with ``inner_steps`` steps per batch, to the local objective.
+    model, with ``RunConfig.inner_steps`` steps per batch, to the local objective.
     ``server_layers`` are the layers the server owns; each BS keeps the rest.
     A BS that takes the server-owned layers also deploys them over its own
     model; every other BS deploys its own model.
@@ -253,35 +253,31 @@ def compute_pi(
 
 def local_train(
     client: ClientState,
-    epochs: int,
-    batch_size: int,
+    run: RunConfig,
     interference: tuple[np.ndarray, np.ndarray],
     rng: RngStream,
     prox_ref: np.ndarray | None = None,
-    lambda_prox: float = 0.0,
-    inner_steps: int = 1,
 ) -> None:
-    """Mini-batch Adam epochs over the training stream; mutates the client.
+    """``run.local_epochs`` mini-batch Adam epochs over the training stream; mutates the client.
 
     ``interference`` is the client's ``ctx.interference`` of the round's
     pools. ``client.params`` and ``client.adam`` are updated in place, so they
     must not share memory with ``prox_ref`` or with another client. With
-    ``prox_ref`` set, every gradient gains lambda_prox * (params - ref)
-    and each batch is revisited ``inner_steps`` times (proximal local
+    ``prox_ref`` set, every gradient gains run.lambda_prox * (params - ref)
+    and each batch is revisited ``run.inner_steps`` times (proximal local
     training); otherwise one step per batch.
     """
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
     n_train = client.ctx.n_train
-    for epoch in range(epochs):
+    inner_steps = 1 if prox_ref is None else run.inner_steps
+    for epoch in range(run.local_epochs):
         perm = rng.child(epoch).generator().permutation(n_train)
-        for start in range(0, n_train, batch_size):
-            idx = perm[start : start + batch_size]
+        for start in range(0, n_train, run.batch_size):
+            idx = perm[start : start + run.batch_size]
             for _ in range(inner_steps):
                 _, grad, _, _ = client.ctx.evaluate(client.params, idx, interference)
-                if prox_ref is not None and lambda_prox != 0.0:
-                    grad += lambda_prox * (client.params - prox_ref)
-                adam_step(client.params, grad, client.adam)
+                if prox_ref is not None and run.lambda_prox != 0.0:
+                    grad += run.lambda_prox * (client.params - prox_ref)
+                adam_step(client.params, grad, client.adam, run.lr)
 
 
 class FederatedSimulation:
@@ -298,7 +294,7 @@ class FederatedSimulation:
         self.clients = [
             ClientState(
                 params=self.global_params.copy(),
-                adam=AdamState.fresh(param_count(self.net), lr=run.lr),
+                adam=AdamState.fresh(param_count(self.net)),
                 ctx=LossContext(self.net, ds),
             )
             for ds in datasets
@@ -342,16 +338,8 @@ class FederatedSimulation:
                 client.pi = run.pi_fixed
             client.params = mix_models(client.params, self.global_params, client.pi)
 
-        local_train(
-            client,
-            run.local_epochs,
-            run.batch_size,
-            interference,
-            self.master.child(_DOMAIN_TRAIN).child(t).child(client.ctx.m),
-            prox_ref=self.global_params if spec.proximal else None,
-            lambda_prox=run.lambda_prox,
-            inner_steps=run.inner_steps if spec.proximal else 1,
-        )
+        train_rng = self.master.child(_DOMAIN_TRAIN).child(t).child(client.ctx.m)
+        local_train(client, run, interference, train_rng, prox_ref=self.global_params if spec.proximal else None)
 
     def run_round(self) -> RoundMetrics:
         """One full communication round; returns the recorded metrics."""
@@ -420,7 +408,7 @@ class FederatedSimulation:
         save_params(partial / "global.bin", self.global_params, self.net)
         for client in self.clients:
             save_params(partial / f"bs{client.ctx.m}.bin", client.params, self.net)
-            save_adam(partial / f"bs{client.ctx.m}.opt.bin", client.adam)
+            save_adam(partial / f"bs{client.ctx.m}.opt.bin", client.adam, self.run.lr)
         if cdir.exists():
             shutil.rmtree(cdir)
         partial.rename(cdir)
@@ -432,7 +420,7 @@ class FederatedSimulation:
         self.global_params = load_params(cdir / "global.bin", self.net)
         for client in self.clients:
             client.params = load_params(cdir / f"bs{client.ctx.m}.bin", self.net)
-            client.adam = load_adam(cdir / f"bs{client.ctx.m}.opt.bin", param_count(self.net))
+            client.adam = load_adam(cdir / f"bs{client.ctx.m}.opt.bin", param_count(self.net), self.run.lr)
         self.round_index = t + 1
 
     @staticmethod

@@ -54,7 +54,7 @@ class NetConfig:
 
     n_t: int
     k_max: int
-    hidden: int = 256
+    hidden: int
 
     def __post_init__(self):
         if self.n_t < 1 or self.k_max < 1 or self.hidden < 1:
@@ -112,20 +112,19 @@ def init_params(cfg: NetConfig, rng: RngStream) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Adam moments and step counter for one parameter vector."""
+    """Adam moments and step counter for one parameter vector; the learning rate is the run's."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    lr: float = 1e-4
 
     @classmethod
-    def fresh(cls, n_params: int, lr: float = 1e-4) -> "AdamState":
-        return cls(m=np.zeros(n_params), v=np.zeros(n_params), lr=lr)
+    def fresh(cls, n_params: int) -> "AdamState":
+        return cls(m=np.zeros(n_params), v=np.zeros(n_params))
 
 
-def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place.
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update with learning rate ``lr``, in place.
 
     Overwrites ``params``, ``state.m`` and ``state.v`` and advances
     ``state.step``. The operations run in the order of the textbook
@@ -148,7 +147,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     np.multiply(tmp, grad, out=tmp)
     np.add(v, tmp, out=v)
     np.divide(m, 1.0 - ADAM_BETA1**t, out=tmp)
-    np.multiply(tmp, state.lr, out=tmp)
+    np.multiply(tmp, lr, out=tmp)
     np.divide(v, 1.0 - ADAM_BETA2**t, out=den)
     np.sqrt(den, out=den)
     np.add(den, ADAM_EPS, out=den)
@@ -427,19 +426,19 @@ def load_params(path, cfg: NetConfig) -> np.ndarray:
         return reader.array(param_count(cfg)).astype(np.float64)
 
 
-def save_adam(path, state: AdamState) -> None:
+def save_adam(path, state: AdamState, lr: float) -> None:
     header = {
         "format": ADAM_MAGIC,
         "version": FORMAT_VERSION,
         "step": state.step,
-        "lr": state.lr,
+        "lr": lr,
         **_ADAM_FIXED,
     }
     write_container(path, header, [state.m, state.v], "<f8")
 
 
-def load_adam(path, n_params: int) -> AdamState:
-    """The optimizer state in ``path``, whose moments must hold ``n_params`` values each."""
+def load_adam(path, n_params: int, lr: float) -> AdamState:
+    """The optimizer state in ``path``: ``n_params`` values per moment, written with learning rate ``lr``."""
     with open(path, "rb") as fh, decoding(path):
         reader = ContainerReader(fh, path, ADAM_MAGIC, FORMAT_VERSION, "<f8")
         m = reader.array(n_params).astype(np.float64)
@@ -450,4 +449,6 @@ def load_adam(path, n_params: int) -> AdamState:
         for key, fixed in _ADAM_FIXED.items():
             if hyper[key] != fixed:
                 raise DatasetFormatError(f"{path}: written with Adam {key} {hyper[key]}, this program uses {fixed}")
-        return AdamState(m=m, v=v, step=hyper["step"], lr=hyper["lr"])
+        if hyper["lr"] != lr:
+            raise DatasetFormatError(f"{path}: written with learning rate {hyper['lr']}, this run has {lr}")
+        return AdamState(m=m, v=v, step=hyper["step"])

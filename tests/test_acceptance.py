@@ -76,16 +76,10 @@ def _check(criterion: int, name: str, ok: bool, detail: str) -> None:
 
 
 def desk_run_config(strategy: str, seed: int) -> RunConfig:
-    return RunConfig(
-        strategy=strategy,
-        rounds=DESK_PRESET["rounds"],
-        local_epochs=DESK_PRESET["local_epochs"],
-        batch_size=DESK_PRESET["batch_size"],
-        lr=DESK_PRESET["lr"],
-        kappa=DESK_PRESET["kappa"],
-        hidden=DESK_PRESET["hidden"],
-        seed=seed,
-    )
+    """What ``isacfl run --preset desk`` runs: the preset's run settings over ``RunConfig``'s defaults."""
+    run_fields = {field.name for field in dataclasses.fields(RunConfig)}
+    preset = {key: value for key, value in DESK_PRESET.items() if key in run_fields}
+    return RunConfig(strategy=strategy, seed=seed, **preset)
 
 
 def _desk_job(args):

@@ -1,5 +1,7 @@
 """Steering vectors, target responses, and seeded channel sampling."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,8 +67,9 @@ class TestSteeringVector:
 
     @pytest.mark.parametrize("bad", [np.pi / 2 + 1e-9, -2.0, np.nan])
     def test_one_bad_angle_in_an_array_raises(self, bad):
-        thetas = np.array([0.1, -0.4, bad, 0.3])
-        with pytest.raises(ValueError):
+        thetas = np.array([0.1, -0.4, bad, 0.3, bad])
+        message = rf"^theta must lie in \[-pi/2, pi/2\]; 2 angle\(s\) outside, the first {re.escape(str(bad))} at index 2$"
+        with pytest.raises(ValueError, match=message):
             steering_vector(thetas, SteeringConfig(4))
 
     def test_bad_config(self):

@@ -9,6 +9,7 @@ import pytest
 from isacfl import cli, fl
 from isacfl.cli import main, read_metrics_csv, summarize
 from isacfl.datagen import generate_dataset, build_scenario, write_dataset
+from isacfl.fl import RunConfig
 from isacfl.nn import AdamState, NetConfig, param_count, save_adam
 from isacfl.svgplot import line_chart
 from test_container import rewrite_header
@@ -162,10 +163,10 @@ class TestRun:
 
         real_save_adam = fl.save_adam
 
-        def fail_in_round_2(path, state):
+        def fail_in_round_2(path, state, lr):
             if path.parent.name.startswith("round_2"):
                 raise OSError("device full")
-            real_save_adam(path, state)
+            real_save_adam(path, state, lr)
 
         monkeypatch.setattr(fl, "save_adam", fail_in_round_2)
         assert run_toy(toy_dataset, part, "--rounds", "4", "--checkpoint-every", "1") == 3
@@ -277,7 +278,7 @@ def _huge_header_length(path):
 
 
 def _five_moment_values(path):
-    save_adam(path, AdamState.fresh(5))
+    save_adam(path, AdamState.fresh(5), RunConfig().lr)
 
 
 class TestMalformedInput:
@@ -308,15 +309,25 @@ class TestMalformedInput:
         assert message in captured.err
         assert "resuming from" not in captured.out  # refused while loading, not later in training
 
-    def test_checkpoint_of_another_network_is_data_error(self, toy_dataset, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags, messages",
+        [
+            (
+                ["--hidden", "16"],
+                ["written for network {'n_t': 3, 'k_max': 4, 'hidden': 6}", "this run has NetConfig(n_t=3, k_max=4, hidden=16)"],
+            ),
+            (["--lr", "1e-2"], ["written with learning rate 0.0001, this run has 0.01"]),
+        ],
+        ids=["hidden-16", "lr-1e-2"],
+    )
+    def test_checkpoint_of_another_network_is_data_error(self, toy_dataset, tmp_path, capsys, flags, messages):
         out = tmp_path / "r"
         assert run_toy(toy_dataset, out) == 0
         capsys.readouterr()
-        assert run_toy(toy_dataset, out, "--rounds", "3", "--resume", "--hidden", "16") == 3
+        assert run_toy(toy_dataset, out, "--rounds", "3", "--resume", *flags) == 3
         captured = capsys.readouterr()
         assert "data error" in captured.err
-        assert "written for network {'n_t': 3, 'k_max': 4, 'hidden': 6}" in captured.err
-        assert "this run has NetConfig(n_t=3, k_max=4, hidden=16)" in captured.err
+        assert all(message in captured.err for message in messages)
         assert "resuming from" not in captured.out
 
     @pytest.mark.parametrize(
@@ -340,8 +351,9 @@ class TestMalformedInput:
             (1, "comm_direct", 4, np.nan, "bs1.ds: comm_direct holds the non-finite value nan at flat index 8"),
             (0, "target_beta", 5, np.inf, "bs0.ds: target_beta holds the non-finite value inf at flat index 10"),
             (2, "target_theta", 3, np.nan, "bs2.ds: target_theta holds the non-finite value nan at flat index 3"),
+            (1, "target_theta", 3, 3.0, "bs1.ds: target_theta holds the angle 3.0 outside [-pi/2, pi/2] at index 3"),
         ],
-        ids=["comm-direct-nan", "target-beta-inf", "target-theta-nan"],
+        ids=["comm-direct-nan", "target-beta-inf", "target-theta-nan", "target-theta-3.0"],
     )
     def test_non_finite_dataset_is_data_error(self, tmp_path, capsys, cell, name, element, value, message):
         data = generate_dataset(build_scenario("heterogeneous", n_t=3, n_r=3), 40, seed=1)
@@ -349,7 +361,7 @@ class TestMalformedInput:
         write_dataset(tmp_path / "bad", data)
         assert run_toy(tmp_path / "bad", tmp_path / "r") == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error: ") and message in err
+        assert err.startswith("data error: ") and message in err and err.count("\n") == 1
 
     def test_mixed_dataset_directory_is_data_error(self, tmp_path, capsys):
         for variant, seed in (("heterogeneous", 3), ("homogeneous", 4)):

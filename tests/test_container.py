@@ -28,7 +28,7 @@ def rewrite_header(path, edit, length=None):
 
 
 def _adam_state():
-    state = AdamState.fresh(12, lr=3e-4)
+    state = AdamState.fresh(12)
     state.m[:] = np.linspace(-1.0, 1.0, 12)
     state.v[:] = np.arange(12) ** 2
     state.step = 9
@@ -44,7 +44,7 @@ KINDS = {
         lambda path, params: save_params(path, params, NET),
         lambda path: load_params(path, NET),
     ),
-    "adam": (_adam_state, save_adam, lambda path: load_adam(path, 12)),
+    "adam": (_adam_state, lambda path, state: save_adam(path, state, 3e-4), lambda path: load_adam(path, 12, 3e-4)),
     "dataset": (
         lambda: generate_bs_dataset(build_scenario("heterogeneous", n_t=2, n_r=2), 1, 12, 5),
         write_bs_dataset,

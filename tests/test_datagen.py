@@ -22,26 +22,26 @@ from oracles import oracle_bs_dataset
 
 class TestScenarioVariants:
     def test_homogeneous(self):
-        scn = build_scenario("homogeneous")
+        scn = build_scenario("homogeneous", n_t=8, n_r=8)
         assert scn.n_cells == 3 and scn.n_t == 8 and scn.n_r == 8
         assert scn.k_per_cell == (2, 3, 4)
         assert scn.rho_per_cell == (0.5, 0.5, 0.5)
         assert scn.rician_k == 3.0
 
     def test_heterogeneous(self):
-        scn = build_scenario("heterogeneous")
+        scn = build_scenario("heterogeneous", n_t=8, n_r=8)
         assert scn.rho_per_cell == (0.2, 0.6, 0.8)
         assert scn.k_per_cell == (2, 3, 4)
 
     def test_equal_ue_variants(self):
-        assert build_scenario("equal_ue_homogeneous").k_per_cell == (2, 2, 2)
-        assert build_scenario("equal_ue_homogeneous").rho_per_cell == (0.5, 0.5, 0.5)
-        assert build_scenario("equal_ue_heterogeneous").k_per_cell == (2, 2, 2)
-        assert build_scenario("equal_ue_heterogeneous").rho_per_cell == (0.2, 0.6, 0.8)
+        assert build_scenario("equal_ue_homogeneous", n_t=8, n_r=8).k_per_cell == (2, 2, 2)
+        assert build_scenario("equal_ue_homogeneous", n_t=8, n_r=8).rho_per_cell == (0.5, 0.5, 0.5)
+        assert build_scenario("equal_ue_heterogeneous", n_t=8, n_r=8).k_per_cell == (2, 2, 2)
+        assert build_scenario("equal_ue_heterogeneous", n_t=8, n_r=8).rho_per_cell == (0.2, 0.6, 0.8)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            build_scenario("ultra")
+            build_scenario("ultra", n_t=8, n_r=8)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -167,7 +167,7 @@ class TestComputePi:
         sim = FederatedSimulation(data, run)
         client = sim.clients[0]
         no_peers = client.ctx.interference({})
-        local_train(client, 2, 16, no_peers, RngStream(7))
+        local_train(client, run, no_peers, RngStream(7))
         idx = client.ctx.eval_indices
         ll, _, _, _ = client.ctx.evaluate(client.params, idx, no_peers, want_grad=False)
         assert ll < -5.0  # utility above 5 bits
@@ -185,13 +185,13 @@ class TestComputePi:
 
 class TestLocalTrain:
     def test_zero_lr_keeps_params(self):
-        scn, data, run = toy_setup()
+        scn, data, run = toy_setup(local_epochs=2)
         sim = FederatedSimulation(data, run)
         client = sim.clients[0]
-        client.adam.lr = 0.0
+        run.lr = 0.0  # past RunConfig's check, which refuses it
         before = client.params.copy()
         pools = sim._eval_pools([c.params for c in sim.clients])
-        local_train(client, 2, 16, client.ctx.interference(pools), RngStream(10))
+        local_train(client, run, client.ctx.interference(pools), RngStream(10))
         np.testing.assert_array_equal(client.params, before)
         assert client.adam.step > 0
 
@@ -202,18 +202,18 @@ class TestLocalTrain:
         interference = client.ctx.interference(sim._eval_pools([c.params for c in sim.clients]))
         idx = np.arange(client.ctx.n_train)
         before, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)
-        local_train(client, 1, len(idx), interference, RngStream(11))
+        local_train(client, dataclasses.replace(run, batch_size=len(idx)), interference, RngStream(11))
         after, _, _, _ = client.ctx.evaluate(client.params, idx, interference, want_grad=False)
         assert after < before
 
     def test_deterministic(self):
         results = []
         for _ in range(2):
-            scn, data, run = toy_setup()
+            scn, data, run = toy_setup(local_epochs=2)
             sim = FederatedSimulation(data, run)
             client = sim.clients[2]
             interference = client.ctx.interference(sim._eval_pools([c.params for c in sim.clients]))
-            local_train(client, 2, 16, interference, RngStream(12))
+            local_train(client, run, interference, RngStream(12))
             results.append(client.params.copy())
         np.testing.assert_array_equal(results[0], results[1])
 

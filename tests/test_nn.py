@@ -230,9 +230,9 @@ class TestGradient:
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         params = init_params(TINY_CFG, RngStream(15))
-        state = AdamState.fresh(params.size, lr=1e-3)
+        state = AdamState.fresh(params.size)
         stepped, stepped_state = params.copy(), dataclasses.replace(state, m=state.m.copy(), v=state.v.copy())
-        adam_step(stepped, np.zeros_like(params), stepped_state)
+        adam_step(stepped, np.zeros_like(params), stepped_state, 1e-3)
         np.testing.assert_array_equal(stepped, params)
         assert stepped_state.step == 1 and state.step == 0
 
@@ -242,10 +242,9 @@ class TestAdam:
         p[:3] = [1.0, 2.0, 3.0]
         grad = np.zeros_like(p)
         grad[:3] = [0.1, -0.2, 0.0]
-        state = AdamState.fresh(p.size, lr=1e-4)
-        adam_step(p, grad, state)
-        # bias-corrected first step: p - lr * g / (|g| + eps)
         lr, eps = 1e-4, 1e-8
+        adam_step(p, grad, AdamState.fresh(p.size), lr)
+        # bias-corrected first step: p - lr * g / (|g| + eps)
         expected = [
             1.0 - lr * 0.1 / (abs(0.1) + eps),
             2.0 - lr * (-0.2) / (abs(-0.2) + eps),
@@ -259,22 +258,22 @@ class TestAdam:
         state = AdamState.fresh(params.size)
         a1, s1 = params.copy(), dataclasses.replace(state, m=state.m.copy(), v=state.v.copy())
         a2, s2 = params.copy(), dataclasses.replace(state, m=state.m.copy(), v=state.v.copy())
-        adam_step(a1, grad, s1)
-        adam_step(a2, grad, s2)
+        adam_step(a1, grad, s1, 1e-4)
+        adam_step(a2, grad, s2, 1e-4)
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(s1.m, s2.m)
         np.testing.assert_array_equal(s1.v, s2.v)
 
     def test_in_place_matches_functional_update(self):
         params = init_params(TINY_CFG, RngStream(24))
-        state = AdamState.fresh(params.size, lr=1e-3)
+        state = AdamState.fresh(params.size)
         gen = RngStream(25).generator()
         theta, m, v = params.copy(), np.zeros(params.size), np.zeros(params.size)
-        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.lr, ADAM_EPS
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, 1e-3, ADAM_EPS
         for t in range(1, 51):
             g = gen.standard_normal(theta.size)
             g[::7] = 0.0
-            adam_step(params, g, state)
+            adam_step(params, g, state, lr)
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1**t)
@@ -288,7 +287,7 @@ class TestAdam:
     def test_shape_mismatch(self):
         params = init_params(TINY_CFG, RngStream(18))
         with pytest.raises(ValueError):
-            adam_step(params, np.zeros(3), AdamState.fresh(params.size))
+            adam_step(params, np.zeros(3), AdamState.fresh(params.size), 1e-4)
 
 
 THREE_SCN = Scenario(n_cells=3, n_t=3, n_r=4, k_per_cell=(2, 3, 1), rho_per_cell=(0.4, 0.7, 0.5))
@@ -482,30 +481,32 @@ class TestSerialization:
             load_params(path, other)
 
     def test_adam_round_trip(self, tmp_path):
-        state = AdamState.fresh(10, lr=3e-4)
+        state = AdamState.fresh(10)
         state.m[:] = np.arange(10)
         state.v[:] = np.arange(10) ** 2
         state.step = 7
         path = tmp_path / "a.bin"
-        save_adam(path, state)
-        loaded = load_adam(path, 10)
-        assert loaded.step == 7 and loaded.lr == 3e-4
+        save_adam(path, state, 3e-4)
+        loaded = load_adam(path, 10, 3e-4)
+        assert loaded.step == 7
         np.testing.assert_array_equal(loaded.m, state.m)
         np.testing.assert_array_equal(loaded.v, state.v)
+        with pytest.raises(DatasetFormatError, match=r"a.bin: written with learning rate 0.0003, this run has 0.001$"):
+            load_adam(path, 10, 1e-3)
 
     @pytest.mark.parametrize("m_size, v_size, n_params", [(10, 10, 11), (10, 11, 10)], ids=["m", "v"])
     def test_adam_moment_lengths_checked(self, tmp_path, m_size, v_size, n_params):
         path = tmp_path / "a.bin"
-        save_adam(path, AdamState(m=np.zeros(m_size), v=np.zeros(v_size)))
+        save_adam(path, AdamState(m=np.zeros(m_size), v=np.zeros(v_size)), 1e-4)
         with pytest.raises(DatasetFormatError):
-            load_adam(path, n_params)
+            load_adam(path, n_params, 1e-4)
 
     def test_wrong_magic(self, tmp_path):
         cfg = NetConfig(3, 2, 5)
         path = tmp_path / "p.bin"
         save_params(path, init_params(cfg, RngStream(22)), cfg)
         with pytest.raises(ValueError):
-            load_adam(path, param_count(cfg))
+            load_adam(path, param_count(cfg), 1e-4)
 
 
 class TestFeatures:
