@@ -22,6 +22,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from isacfl.datagen import (
     MIN_SAMPLES,
     SCENARIO_VARIANTS,
@@ -437,7 +439,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A numpy overflow, invalid operation or division by zero is a
+        # numerical failure (exit 4), not a warning; underflow stays silent.
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -49,6 +49,7 @@ from isacfl.nn import (
     LossContext,
     NetConfig,
     adam_step,
+    adam_work,
     forward_batch,
     init_params,
     load_adam,
@@ -57,6 +58,7 @@ from isacfl.nn import (
     save_adam,
     save_params,
     unpack,
+    work_chunks,
 )
 
 
@@ -180,7 +182,7 @@ class RoundMetrics:
             raise NumericalError(f"non-finite metric in round {self.round_index}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Everything one experiment needs beyond the scenario and the data.
 
@@ -257,6 +259,8 @@ def local_train(
     interference: tuple[np.ndarray, np.ndarray],
     rng: RngStream,
     prox_ref: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
+    grad_out: np.ndarray | None = None,
 ) -> None:
     """``run.local_epochs`` mini-batch Adam epochs over the training stream; mutates the client.
 
@@ -265,8 +269,15 @@ def local_train(
     must not share memory with ``prox_ref`` or with another client. With
     ``prox_ref`` set, every gradient gains run.lambda_prox * (params - ref)
     and each batch is revisited ``run.inner_steps`` times (proximal local
-    training); otherwise one step per batch.
+    training); otherwise one step per batch. Every step writes its gradient
+    into ``grad_out``, a parameter-length vector, and its Adam update
+    through ``work``, a work pair from ``nn.adam_work``; this call makes
+    whichever is not given.
     """
+    if work is None:
+        work = adam_work(client.params.size)
+    if grad_out is None:
+        grad_out = np.empty_like(client.params)
     n_train = client.ctx.n_train
     inner_steps = 1 if prox_ref is None else run.inner_steps
     for epoch in range(run.local_epochs):
@@ -274,10 +285,19 @@ def local_train(
         for start in range(0, n_train, run.batch_size):
             idx = perm[start : start + run.batch_size]
             for _ in range(inner_steps):
-                _, grad, _, _ = client.ctx.evaluate(client.params, idx, interference)
+                _, grad, _, _ = client.ctx.evaluate(client.params, idx, interference, True, grad_out)
                 if prox_ref is not None and run.lambda_prox != 0.0:
-                    grad += run.lambda_prox * (client.params - prox_ref)
-                adam_step(client.params, grad, client.adam, run.lr)
+                    _add_proximal(grad, client.params, prox_ref, run.lambda_prox, work)
+                adam_step(client.params, grad, client.adam, run.lr, work)
+
+
+def _add_proximal(grad: np.ndarray, params: np.ndarray, ref: np.ndarray, lam: float, work) -> None:
+    """``grad += lam * (params - ref)`` in place, in that operation order, through the work pair."""
+    for part, tmp, _ in work_chunks(grad.size, work):
+        np.subtract(params[part], ref[part], out=tmp)
+        np.multiply(lam, tmp, out=tmp)
+        g = grad[part]
+        np.add(g, tmp, out=g)
 
 
 class FederatedSimulation:
@@ -301,6 +321,9 @@ class FederatedSimulation:
         ]
         self.round_index = 0
         self.spec = STRATEGIES[run.strategy]
+        # Clients train one after another, so one Adam work pair serves them
+        # all; nothing touches it before training.
+        self._adam_work = adam_work(param_count(self.net))
         self._server_mask = np.zeros(param_count(self.net), dtype=bool)
         for name, (w, b) in unpack(self._server_mask, self.net).items():
             w[...] = b[...] = name in self.spec.server_layers
@@ -321,8 +344,11 @@ class FederatedSimulation:
             )
         return pools
 
-    def _client_round(self, client: ClientState, t: int, pools: dict[int, np.ndarray]) -> None:
-        """Steps 2-4 for one client; independent of every other client."""
+    def _client_round(self, client: ClientState, t: int, pools: dict[int, np.ndarray], grad_out: np.ndarray) -> None:
+        """Steps 2-4 for one client; independent of every other client.
+
+        ``grad_out`` is the round's gradient vector: scratch that each training step overwrites.
+        """
         run, spec = self.run, self.spec
         interference = client.ctx.interference(pools)
         if spec.mix == "take":
@@ -339,15 +365,20 @@ class FederatedSimulation:
             client.params = mix_models(client.params, self.global_params, client.pi)
 
         train_rng = self.master.child(_DOMAIN_TRAIN).child(t).child(client.ctx.m)
-        local_train(client, run, interference, train_rng, prox_ref=self.global_params if spec.proximal else None)
+        prox_ref = self.global_params if spec.proximal else None
+        local_train(client, run, interference, train_rng, prox_ref, self._adam_work, grad_out)
 
     def run_round(self) -> RoundMetrics:
         """One full communication round; returns the recorded metrics."""
         t = self.round_index
         started = time.perf_counter()
         pools = self._eval_pools([c.params for c in self.clients])
+        # One gradient vector serves every training step of the round; it is
+        # released before aggregation and evaluation, which do not need it.
+        grad_out = np.empty(param_count(self.net))
         for client in self.clients:
-            self._client_round(client, t, pools)
+            self._client_round(client, t, pools, grad_out)
+        del grad_out
 
         new_global = fedavg_aggregate([c.params for c in self.clients], [c.ctx.n_train for c in self.clients])
         self.global_params = self._take_server_layers(self.global_params, new_global)

@@ -36,6 +36,13 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 _ADAM_FIXED = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
 
+# Elements per chunk of an Adam work pair: two 256 KiB float64 vectors. A
+# full-network step (168,768 parameters) on a 2-core Xeon with 2 MiB of L2
+# per core took 1.15-1.23 ms with chunks of 8k-64k, 1.51 ms with one
+# full-length pair, and 2.57 ms with two fresh full-length temporaries per
+# step, which glibc hands back to the kernel and faults in again.
+ADAM_CHUNK = 32768
+
 _power_checks = 0
 
 
@@ -123,36 +130,66 @@ class AdamState:
         return cls(m=np.zeros(n_params), v=np.zeros(n_params))
 
 
-def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+def adam_work(n_params: int) -> tuple[np.ndarray, np.ndarray]:
+    """An uninitialized work pair for :func:`adam_step` on ``n_params`` parameters: at most one chunk long."""
+    size = max(1, min(n_params, ADAM_CHUNK))
+    return np.empty(size), np.empty(size)
+
+
+def work_chunks(n: int, work: tuple[np.ndarray, np.ndarray]):
+    """Slices covering ``range(n)`` in steps of the pair's length, each with both work vectors cut to its length."""
+    tmp, den = work
+    size = min(tmp.size, den.size)
+    if size < 1:
+        raise ValueError("work vectors must hold at least one element")
+    for start in range(0, n, size):
+        stop = min(start + size, n)
+        yield slice(start, stop), tmp[: stop - start], den[: stop - start]
+
+
+def adam_step(
+    params: np.ndarray,
+    grad: np.ndarray,
+    state: AdamState,
+    lr: float,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
+) -> None:
     """One bias-corrected Adam update with learning rate ``lr``, in place.
 
     Overwrites ``params``, ``state.m`` and ``state.v`` and advances
     ``state.step``. The operations run in the order of the textbook
     expressions (``((1 - b2) * g) * g``, then ``lr * m_hat``, then the
     division by ``sqrt(v_hat) + eps``), so the result is bit-identical to
-    evaluating them, with two temporaries per step instead of one per
-    operation.
+    evaluating them. They run chunk by chunk through ``work``, a pair of
+    float64 vectors the caller owns and reuses (:func:`adam_work`); every
+    operation is elementwise, so the chunk length does not change a bit.
+    Without a pair, this call makes one.
     """
     if grad.shape != params.shape:
         raise ValueError("gradient length does not match parameter vector")
+    if params.ndim != 1:
+        raise ValueError("adam_step updates a flat parameter vector")
+    if work is None:
+        work = adam_work(params.size)
     t = state.step + 1
-    m, v = state.m, state.v
-    tmp = np.empty_like(grad)
-    den = np.empty_like(grad)
-    np.multiply(m, ADAM_BETA1, out=m)
-    np.multiply(grad, 1.0 - ADAM_BETA1, out=tmp)
-    np.add(m, tmp, out=m)
-    np.multiply(v, ADAM_BETA2, out=v)
-    np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
-    np.multiply(tmp, grad, out=tmp)
-    np.add(v, tmp, out=v)
-    np.divide(m, 1.0 - ADAM_BETA1**t, out=tmp)
-    np.multiply(tmp, lr, out=tmp)
-    np.divide(v, 1.0 - ADAM_BETA2**t, out=den)
-    np.sqrt(den, out=den)
-    np.add(den, ADAM_EPS, out=den)
-    np.divide(tmp, den, out=tmp)
-    np.subtract(params, tmp, out=params)
+    m_corr = 1.0 - ADAM_BETA1**t
+    v_corr = 1.0 - ADAM_BETA2**t
+    for part, tmp, den in work_chunks(params.size, work):
+        p, g, m, v = params[part], grad[part], state.m[part], state.v[part]
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        np.add(m, tmp, out=m)
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+        np.multiply(tmp, g, out=tmp)
+        np.add(v, tmp, out=v)
+        np.divide(m, m_corr, out=tmp)
+        np.multiply(tmp, lr, out=tmp)
+        np.divide(v, v_corr, out=den)
+        np.sqrt(den, out=den)
+        np.add(den, ADAM_EPS, out=den)
+        np.divide(tmp, den, out=tmp)
+        np.subtract(p, tmp, out=p)
     state.step = t
 
 
@@ -211,11 +248,11 @@ def _mlp_forward(p: dict, xc: np.ndarray, xs: np.ndarray):
     return y, (xc, xs, zc, zs, af, zf, f)
 
 
-def _mlp_backward(p: dict, cache, g_y: np.ndarray, cfg: NetConfig) -> np.ndarray:
-    """Parameter gradient, each block written straight into one flat vector."""
+def _mlp_backward(p: dict, cache, g_y: np.ndarray, cfg: NetConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """Parameter gradient, each block written straight into one flat vector (``out`` if given)."""
     xc, xs, zc, zs, af, zf, f = cache
     hidden = cfg.hidden
-    grad = np.empty(param_count(cfg))
+    grad = np.empty(param_count(cfg)) if out is None else out
     g = unpack(grad, cfg)
     np.matmul(f.T, g_y, out=g["out"][0])
     np.sum(g_y, axis=0, out=g["out"][1])
@@ -332,13 +369,15 @@ class LossContext:
         idx: np.ndarray,
         interference: tuple[np.ndarray, np.ndarray],
         want_grad: bool = True,
+        out: np.ndarray | None = None,
     ):
         """Mean loss over the indexed samples, with optional exact gradient.
 
         ``interference`` is :meth:`interference` of the peer pools; only its
         ``idx`` rows are read. Returns (loss, grad, comm_rates, radar_rates);
         ``grad`` is None when ``want_grad`` is false. Rates are per-sample
-        arrays.
+        arrays. With ``out``, a parameter-length float64 vector, the gradient
+        is written into it and ``grad`` is ``out``.
         """
         idx = np.asarray(idx)
         if idx.size == 0:
@@ -396,7 +435,7 @@ class LossContext:
         coef[positive] = np.sqrt(scn.p_t) * t_inner[positive] / norms[positive] ** 3
         g_raw = scale[:, None, None] * g_w - coef[:, None, None] * w_raw
 
-        grad = _mlp_backward(p, cache, _padded_reals(g_raw, cfg.k_max), cfg)
+        grad = _mlp_backward(p, cache, _padded_reals(g_raw, cfg.k_max), cfg, out)
         return loss, grad, r_c, r_s
 
 

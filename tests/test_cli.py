@@ -157,6 +157,12 @@ class TestRun:
         assert not (out / "metrics.csv").exists()
         assert run_toy(toy_dataset, out) == 0
 
+    def test_overflow_in_training_is_numerical_failure(self, toy_dataset, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert run_toy(toy_dataset, out, "--strategy", "pfedme", "--lambda-prox", "1e308") == 4
+        assert "numerical failure: overflow" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     def test_crash_while_checkpointing_resumes_from_previous(self, toy_dataset, tmp_path, monkeypatch):
         full, part = tmp_path / "full", tmp_path / "part"
         assert run_toy(toy_dataset, full, "--rounds", "4", "--checkpoint-every", "1") == 0

@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+import platform
+import resource
 import weakref
 
 import numpy as np
@@ -23,7 +25,7 @@ from isacfl.fl import (
     m_step,
     mix_models,
 )
-from isacfl.nn import NetConfig, init_params, layer_dims, param_count
+from isacfl.nn import NetConfig, adam_step, init_params, layer_dims, param_count
 
 def toy_setup(variant="heterogeneous", n_samples=80, seed=1, **run_kw):
     scn = build_scenario(variant, n_t=3, n_r=3)
@@ -185,13 +187,17 @@ class TestComputePi:
 
 class TestLocalTrain:
     def test_zero_lr_keeps_params(self):
-        scn, data, run = toy_setup(local_epochs=2)
+        # RunConfig refuses a zero rate, so the zero steps go to adam_step directly
+        scn, data, run = toy_setup()
         sim = FederatedSimulation(data, run)
         client = sim.clients[0]
-        run.lr = 0.0  # past RunConfig's check, which refuses it
         before = client.params.copy()
-        pools = sim._eval_pools([c.params for c in sim.clients])
-        local_train(client, run, client.ctx.interference(pools), RngStream(10))
+        interference = client.ctx.interference(sim._eval_pools([c.params for c in sim.clients]))
+        for start in range(0, client.ctx.n_train, run.batch_size):
+            idx = np.arange(start, min(start + run.batch_size, client.ctx.n_train))
+            _, grad, _, _ = client.ctx.evaluate(client.params, idx, interference)
+            assert np.any(grad != 0.0)
+            adam_step(client.params, grad, client.adam, 0.0, sim._adam_work)
         np.testing.assert_array_equal(client.params, before)
         assert client.adam.step > 0
 
@@ -216,6 +222,39 @@ class TestLocalTrain:
             local_train(client, run, interference, RngStream(12))
             results.append(client.params.copy())
         np.testing.assert_array_equal(results[0], results[1])
+
+
+class TestStepMemory:
+    """In a running simulation, a full-network training step takes its memory from the heap it already holds."""
+
+    @pytest.fixture(scope="class")
+    def full_scale(self):
+        # 8x8 antennas, 285 samples per BS: 256 training samples, 4 batches of 64
+        return generate_dataset(build_scenario("heterogeneous", n_t=8, n_r=8), 285, seed=3)
+
+    @pytest.mark.parametrize("strategy, local_epochs", [("em_pfl", 5), ("pfedme", 1)])
+    def test_at_most_two_page_faults_per_step(self, full_scale, strategy, local_epochs):
+        run = RunConfig(strategy=strategy, rounds=2, local_epochs=local_epochs, batch_size=64, hidden=256, seed=3)
+        sim = FederatedSimulation(full_scale, run)
+        sim.run_round()  # warm-up: every training step after the first round follows one
+        client = sim.clients[2]
+        assert client.params.size == 168_768
+        interference = client.ctx.interference(sim._eval_pools([c.params for c in sim.clients]))
+        prox_ref = sim.global_params if sim.spec.proximal else None
+        steps = run.local_epochs * math.ceil(client.ctx.n_train / run.batch_size) * (5 if prox_ref is not None else 1)
+        assert steps == 20
+
+        # the gradient vector a round shares between its clients' training steps
+        grad_out = np.empty(client.params.size)
+        _, grad, _, _ = client.ctx.evaluate(client.params, np.arange(run.batch_size), interference, True, grad_out)
+        adam_step(client.params, grad, client.adam, run.lr, sim._adam_work)  # warm-up step
+
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        first_step = client.adam.step
+        local_train(client, run, interference, RngStream(13), prox_ref, sim._adam_work, grad_out)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert client.adam.step - first_step == steps
+        assert faults <= 2 * steps, f"{faults} minor page faults in {steps} {strategy} steps, {platform.libc_ver()}"
 
 
 class TestRounds:
@@ -418,6 +457,12 @@ class TestRunConfigValidation:
             RunConfig(rounds=0)
         with pytest.raises(ValueError):
             RunConfig(pi_fixed=1.5)
+
+    def test_frozen(self):
+        run = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.lr = 0.0
+        assert run.lr == 1e-4
 
     def test_strategies_name_only_network_layers(self):
         layers = set(layer_dims(NetConfig(1, 1, 1)))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from isacfl.metrics import Scenario
 from isacfl.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_CHUNK,
     ADAM_EPS,
     AdamState,
     LossContext,
     NetConfig,
     PowerConstraintError,
     adam_step,
+    adam_work,
     check_power,
     comm_features,
     forward_batch,
@@ -284,10 +287,46 @@ class TestAdam:
             np.testing.assert_array_equal(state.v, v)
             np.testing.assert_array_equal(params, theta)
 
+    @pytest.mark.parametrize(
+        "n, work_len",
+        [(1000, 7), (1000, 999), (1000, 1000), (1000, 1500), (2 * ADAM_CHUNK + 5, ADAM_CHUNK), (2 * ADAM_CHUNK + 5, 4096)],
+    )
+    def test_work_pair_keeps_bytes(self, n, work_len):
+        gen = RngStream(26).generator()
+        start = gen.standard_normal(n)
+        grads = gen.standard_normal((4, n)) * 10.0 ** gen.integers(-8, 8, size=(4, n))
+        grads[:, ::11] = 0.0
+        results = []
+        for work in (None, (np.empty(work_len), np.empty(work_len))):
+            params, state = start.copy(), AdamState.fresh(n)
+            for g in grads:
+                adam_step(params, g, state, 1e-3, work)
+            results.append([params.tobytes(), state.m.tobytes(), state.v.tobytes()])
+        assert results[0] == results[1]
+        theta, m, v = start.copy(), np.zeros(n), np.zeros(n)
+        for t, g in enumerate(grads, start=1):
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            theta = theta - 1e-3 * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+        assert results[0] == [theta.tobytes(), m.tobytes(), v.tobytes()]
+
+    def test_work_pair_allocates_no_vector(self):
+        n = 168_768  # the full network's parameter count
+        params, grad, state, work = np.zeros(n), np.ones(n), AdamState.fresh(n), adam_work(n)
+        tracemalloc.start()
+        try:
+            adam_step(params, grad, state, 1e-3, work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1024, f"adam_step allocated {peak} bytes with a work pair"
+
     def test_shape_mismatch(self):
         params = init_params(TINY_CFG, RngStream(18))
         with pytest.raises(ValueError):
             adam_step(params, np.zeros(3), AdamState.fresh(params.size), 1e-4)
+        with pytest.raises(ValueError):
+            adam_step(params, np.zeros_like(params), AdamState.fresh(params.size), 1e-4, (np.empty(0), np.empty(0)))
 
 
 THREE_SCN = Scenario(n_cells=3, n_t=3, n_r=4, k_per_cell=(2, 3, 1), rho_per_cell=(0.4, 0.7, 0.5))
