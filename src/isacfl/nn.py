@@ -3,8 +3,11 @@
 The network maps stacked real/imag channel features to a complex beamforming
 matrix, which is rescaled onto the transmit-power sphere. The training loss is
 the negated scalarized utility (comm rate + radar rate), and the backward pass
-is written by hand for exactly this pipeline: four dense layers, the power
-projection, and the two quadratic-form rate heads. Complex quantities are
+is written by hand for exactly this pipeline. :meth:`LossContext.evaluate`
+gathers a batch and composes six module-level stages, each taking the batch
+as its leading axis: ``_mlp_forward`` (four dense layers), ``_project_batch``
+(the power projection), ``_rate_heads``, then backwards ``_rate_heads_backward``,
+``_project_backward`` and ``_mlp_backward``. Complex quantities are
 differentiated as independent real/imag pairs throughout.
 
 Other base stations' beamformers enter the objective only through
@@ -14,6 +17,7 @@ interference terms and are treated as constants (no cross-BS gradient flow).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache
 
 import numpy as np
 
@@ -94,17 +98,19 @@ def param_count(cfg: NetConfig) -> int:
     return sum(fi * fo + fo for fi, fo in layer_dims(cfg).values())
 
 
+@cache
+def _layer_slices(cfg: NetConfig) -> tuple[tuple[str, slice, tuple[int, int], slice], ...]:
+    """Each layer's weight slice, weight shape and bias slice in the flat vector, walked once per network."""
+    out, offset = [], 0
+    for name, (fi, fo) in layer_dims(cfg).items():
+        out.append((name, slice(offset, offset + fi * fo), (fi, fo), slice(offset + fi * fo, offset + fi * fo + fo)))
+        offset += fi * fo + fo
+    return tuple(out)
+
+
 def unpack(flat: np.ndarray, cfg: NetConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Views (no copies) of each layer's weight matrix and bias vector in the flat vector."""
-    out = {}
-    offset = 0
-    for name, (fi, fo) in layer_dims(cfg).items():
-        w = flat[offset : offset + fi * fo].reshape(fi, fo)
-        offset += fi * fo
-        b = flat[offset : offset + fo]
-        offset += fo
-        out[name] = (w, b)
-    return out
+    return {name: (flat[w].reshape(shape), flat[b]) for name, w, shape, b in _layer_slices(cfg)}
 
 
 def init_params(cfg: NetConfig, rng: RngStream) -> np.ndarray:
@@ -239,12 +245,17 @@ def sens_features(u: np.ndarray, cfg: NetConfig) -> np.ndarray:
 
 
 def _mlp_forward(p: dict, xc: np.ndarray, xs: np.ndarray):
-    zc = xc @ p["comm"][0] + p["comm"][1]
-    zs = xs @ p["sens"][0] + p["sens"][1]
-    af = np.concatenate([np.maximum(zc, 0.0), np.maximum(zs, 0.0)], axis=1)
-    zf = af @ p["fusion"][0] + p["fusion"][1]
+    zc = xc @ p["comm"][0]
+    zc += p["comm"][1]
+    zs = xs @ p["sens"][0]
+    zs += p["sens"][1]
+    af = np.concatenate([zc, zs], axis=1)
+    np.maximum(af, 0.0, out=af)
+    zf = af @ p["fusion"][0]
+    zf += p["fusion"][1]
     f = np.maximum(zf, 0.0)
-    y = f @ p["out"][0] + p["out"][1]
+    y = f @ p["out"][0]
+    y += p["out"][1]
     return y, (xc, xs, zc, zs, af, zf, f)
 
 
@@ -255,18 +266,18 @@ def _mlp_backward(p: dict, cache, g_y: np.ndarray, cfg: NetConfig, out: np.ndarr
     grad = np.empty(param_count(cfg)) if out is None else out
     g = unpack(grad, cfg)
     np.matmul(f.T, g_y, out=g["out"][0])
-    np.sum(g_y, axis=0, out=g["out"][1])
+    np.add.reduce(g_y, axis=0, out=g["out"][1])
     g_f = g_y @ p["out"][0].T
     g_zf = g_f * (zf > 0.0)
     np.matmul(af.T, g_zf, out=g["fusion"][0])
-    np.sum(g_zf, axis=0, out=g["fusion"][1])
+    np.add.reduce(g_zf, axis=0, out=g["fusion"][1])
     g_af = g_zf @ p["fusion"][0].T
     g_zc = g_af[:, :hidden] * (zc > 0.0)
     g_zs = g_af[:, hidden:] * (zs > 0.0)
     np.matmul(xc.T, g_zc, out=g["comm"][0])
-    np.sum(g_zc, axis=0, out=g["comm"][1])
+    np.add.reduce(g_zc, axis=0, out=g["comm"][1])
     np.matmul(xs.T, g_zs, out=g["sens"][0])
-    np.sum(g_zs, axis=0, out=g["sens"][1])
+    np.add.reduce(g_zs, axis=0, out=g["sens"][1])
     return grad
 
 
@@ -276,22 +287,60 @@ def _reshape_to_beams(y: np.ndarray, cfg: NetConfig, k_m: int) -> np.ndarray:
 
 
 def _project_batch(w_raw: np.ndarray, p_t: float):
-    """Rescale each (n_t, k_m) beamformer onto ||W||_F^2 = p_t; all-zero ones stay zero."""
-    norms = np.linalg.norm(w_raw, axis=(1, 2))
-    positive = norms > 0.0
-    scale = np.zeros_like(norms)
-    scale[positive] = np.sqrt(p_t) / norms[positive]
+    """Rescale each (n_t, k_m) beamformer onto ||W||_F^2 = p_t (norms as np.linalg.norm takes them); zeros stay zero."""
+    norms = np.sqrt(np.add.reduce((w_raw.conj() * w_raw).real, axis=(1, 2)))
+    scale = np.divide(np.sqrt(p_t), norms, out=np.zeros(len(norms)), where=norms > 0.0)
     w = w_raw * scale[:, None, None]
     check_power(w, p_t)
     return w, norms, scale
+
+
+def _project_backward(g_w: np.ndarray, w_raw: np.ndarray, norms: np.ndarray, scale: np.ndarray, p_t: float):
+    """Gradient w.r.t. ``w_raw`` of w = w_raw * sqrt(p_t) / ||w_raw||, given the gradient ``g_w`` w.r.t. w."""
+    t_inner = np.add.reduce(g_w.real * w_raw.real + g_w.imag * w_raw.imag, axis=(1, 2))
+    coef = np.divide(np.sqrt(p_t) * t_inner, norms**3, out=np.zeros(len(norms)), where=norms > 0.0)
+    return scale[:, None, None] * g_w - coef[:, None, None] * w_raw
+
+
+def _rate_heads(h: np.ndarray, u: np.ndarray, w: np.ndarray, cross_c: np.ndarray, den_s: np.ndarray, scn: Scenario):
+    """Comm sum rates (B,) and radar rates (B,) of beamformers ``w``, and what the backward pass reads."""
+    s_c = np.einsum("bkn,bnj->bkj", h.conj(), w)  # (B, k_m, k_m)
+    p_c = s_c.real**2 + s_c.imag**2
+    num = p_c.diagonal(axis1=1, axis2=2)
+    den = np.add.reduce(p_c, axis=2) - num + cross_c + scn.sigma_c_sq
+    gamma_c = num / den
+    r_c = np.add.reduce(np.log1p(gamma_c), axis=1) / _LN2
+    s_r = np.einsum("bn,bnj->bj", u.conj(), w)  # (B, k_m)
+    p_num = np.add.reduce(s_r.real**2 + s_r.imag**2, axis=1)
+    gamma_s = scn.n_r * p_num / den_s
+    r_s = np.log1p(gamma_s) / _LN2
+    return r_c, r_s, (s_c, den, gamma_c, s_r, gamma_s, den_s)
+
+
+def _rate_heads_backward(h: np.ndarray, u: np.ndarray, heads: tuple, d_rc: float, d_rs: float, scn: Scenario):
+    """Gradient w.r.t. w of ``d_rc * sum(r_c) + d_rs * sum(r_s)``, packed as d/d(re) + j * d/d(im)."""
+    s_c, den, gamma_c, s_r, gamma_s, den_s = heads
+    d_gamma_c = d_rc / ((1.0 + gamma_c) * _LN2)     # (B, k_m)
+    d_num = d_gamma_c / den
+    d_den = -d_gamma_c * gamma_c / den
+    gp = np.empty(s_c.shape)
+    gp[...] = d_den[:, :, None]
+    gp.reshape(len(gp), -1)[:, :: gp.shape[2] + 1] = d_num  # the (k_m, k_m) diagonals
+    s_hat_c = 2.0 * gp * s_c
+    g_w = np.einsum("bkn,bkj->bnj", h, s_hat_c)
+    d_gamma_s = d_rs / ((1.0 + gamma_s) * _LN2)     # (B,)
+    d_pnum = d_gamma_s * scn.n_r / den_s
+    s_hat_r = 2.0 * d_pnum[:, None] * s_r
+    g_w += np.einsum("bn,bj->bnj", u, s_hat_r)
+    return g_w
 
 
 def check_power(w: np.ndarray, p_t: float) -> None:
     """Inline guard: every beamformer of a (B, n_t, k_m) batch must satisfy ||W||_F^2 <= p_t + tol."""
     global _power_checks
     _power_checks += 1
-    sq = np.sum(w.real**2 + w.imag**2, axis=(1, 2))
-    if not np.all(sq <= p_t + POWER_TOL):
+    sq = np.add.reduce(w.real**2 + w.imag**2, axis=(1, 2))
+    if not (sq <= p_t + POWER_TOL).all():
         raise PowerConstraintError(f"beamformer power {np.max(sq)} exceeds budget {p_t}")
 
 
@@ -382,59 +431,22 @@ class LossContext:
         idx = np.asarray(idx)
         if idx.size == 0:
             raise ValueError("empty batch")
-        cfg, scn, k_m = self.cfg, self.scn, self.k_m
-        bsz = idx.size
+        cfg, scn, bsz = self.cfg, self.scn, idx.size
         rho = scn.rho_per_cell[self.m]
-        cross_c, den_s = (term[idx] for term in interference)
+        h, u = self.h[idx], self.u[idx]
+        cross_c, den_s = interference[0][idx], interference[1][idx]
 
         p = unpack(params, cfg)
         y, cache = _mlp_forward(p, self.xc[idx], self.xs[idx])
-        w_raw = _reshape_to_beams(y, cfg, k_m)
+        w_raw = _reshape_to_beams(y, cfg, self.k_m)
         w, norms, scale = _project_batch(w_raw, scn.p_t)
-
-        h = self.h[idx]
-        s_c = np.einsum("bkn,bnj->bkj", h.conj(), w)  # (B, k_m, k_m)
-        p_c = s_c.real**2 + s_c.imag**2
-        diag = np.arange(k_m)
-        num = p_c[:, diag, diag]
-        den = p_c.sum(axis=2) - num + cross_c + scn.sigma_c_sq
-        gamma_c = num / den
-        r_c = np.log1p(gamma_c).sum(axis=1) / _LN2  # (B,)
-
-        u = self.u[idx]
-        s_r = np.einsum("bn,bnj->bj", u.conj(), w)  # (B, k_m)
-        p_num = np.sum(s_r.real**2 + s_r.imag**2, axis=1)
-        gamma_s = scn.n_r * p_num / den_s
-        r_s = np.log1p(gamma_s) / _LN2  # (B,)
-
-        loss = float(-np.mean(rho * r_c + (1.0 - rho) * r_s))
+        r_c, r_s, heads = _rate_heads(h, u, w, cross_c, den_s, scn)
+        loss = float(-(np.add.reduce(rho * r_c + (1.0 - rho) * r_s) / bsz))
         if not want_grad:
             return loss, None, r_c, r_s
 
-        # Backward through the rate heads; packed complex convention:
-        # grad stored as d/d(re) + j * d/d(im).
-        d_rc = -rho / bsz
-        d_rs = -(1.0 - rho) / bsz
-        d_gamma_c = d_rc / ((1.0 + gamma_c) * _LN2)     # (B, k_m)
-        d_num = d_gamma_c / den
-        d_den = -d_gamma_c * gamma_c / den
-        gp = np.repeat(d_den[:, :, None], k_m, axis=2)
-        gp[:, diag, diag] = d_num
-        s_hat_c = 2.0 * gp * s_c
-        g_w = np.einsum("bkn,bkj->bnj", h, s_hat_c)
-
-        d_gamma_s = d_rs / ((1.0 + gamma_s) * _LN2)     # (B,)
-        d_pnum = d_gamma_s * scn.n_r / den_s
-        s_hat_r = 2.0 * d_pnum[:, None] * s_r
-        g_w += np.einsum("bn,bj->bnj", u, s_hat_r)
-
-        # Backward through the power rescaling w = w_raw * sqrt(p)/||w_raw||.
-        t_inner = np.sum(g_w.real * w_raw.real + g_w.imag * w_raw.imag, axis=(1, 2))
-        positive = norms > 0.0
-        coef = np.zeros_like(norms)
-        coef[positive] = np.sqrt(scn.p_t) * t_inner[positive] / norms[positive] ** 3
-        g_raw = scale[:, None, None] * g_w - coef[:, None, None] * w_raw
-
+        g_w = _rate_heads_backward(h, u, heads, -rho / bsz, -(1.0 - rho) / bsz, scn)
+        g_raw = _project_backward(g_w, w_raw, norms, scale, scn.p_t)
         grad = _mlp_backward(p, cache, _padded_reals(g_raw, cfg.k_max), cfg, out)
         return loss, grad, r_c, r_s
 

@@ -8,6 +8,10 @@ The commands generate small datasets and run every strategy on them through
   antennas, hidden 32, the desk preset's learning rate), 70 samples/BS
   (one training batch per epoch, which keeps the set near 3 s), 3 rounds, a
   checkpoint every round;
+- ``em_pfl`` and ``pfedme`` desk-shaped on the heterogeneous variant with
+  150 samples/BS: 135 training rows, so every epoch runs two full batches of
+  64 and one of 7, the shape of a desk preset epoch (28 full batches and a
+  short one), 2 rounds of one local epoch;
 - ``em_pfl``, ``fedper`` and ``pfedme`` on the full-scale network (8x8
   antennas, hidden 256, the default settings but one local epoch), 170
   samples/BS (an evaluation pool of 17, so pool gathers wrap unevenly),
@@ -43,6 +47,7 @@ from isacfl.fl import STRATEGIES
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
+BATCHED_STRATEGIES = ("em_pfl", "pfedme")
 FULL_STRATEGIES = ("em_pfl", "fedper", "pfedme")
 RESUMED = "desk-heterogeneous-resumed"
 STRAIGHT = "desk-heterogeneous-em_pfl"
@@ -79,6 +84,12 @@ def _produce(root: Path) -> dict[str, str]:
         for strategy in STRATEGIES:
             _cli("run", "--preset", "desk", "--dataset", data / f"desk-{variant}", "--out", runs / f"desk-{variant}-{strategy}",
                  "--strategy", strategy, "--rounds", 3, "--seed", 1, "--checkpoint-every", 1, "--keep-checkpoints", "--quiet")
+    _cli("gen-data", "--scenario", "heterogeneous", "--seed", 1, "--samples", 150, "--n-t", 4, "--n-r", 4,
+         "--out", data / "desk-batched")
+    for strategy in BATCHED_STRATEGIES:
+        _cli("run", "--preset", "desk", "--dataset", data / "desk-batched", "--out", runs / f"desk-batched-{strategy}",
+             "--strategy", strategy, "--rounds", 2, "--local-epochs", 1, "--seed", 1, "--checkpoint-every", 1,
+             "--keep-checkpoints", "--quiet")
     _cli("gen-data", "--scenario", "heterogeneous", "--seed", 1, "--samples", 170, "--out", data / "full")
     for strategy in FULL_STRATEGIES:
         _cli("run", "--dataset", data / "full", "--out", runs / f"full-{strategy}", "--strategy", strategy,

@@ -2,6 +2,9 @@
 
 Everything here is deliberately scalar: plain Python loops over indices and
 ``cmath`` arithmetic, no shared code with the vectorized implementations.
+The exception is :func:`oracle_evaluate`, a frozen copy of the batched
+training objective as it was before its stages were split out and trimmed;
+the library must keep matching it byte for byte.
 """
 
 import cmath
@@ -12,7 +15,7 @@ import numpy as np
 from isacfl.channel import PURE_LOS_K, RngStream
 from isacfl.datagen import BsDataset
 from isacfl.metrics import ChannelSample, Scenario
-from isacfl.nn import LossContext
+from isacfl.nn import _LN2, LossContext, layer_dims, param_count
 
 
 def _hermitian_dot(h, w_col):
@@ -245,3 +248,133 @@ def loss_and_grad(params, cfg, scn: Scenario, batch, m: int, peers_w):
     ctx = LossContext(cfg, dataset_from_samples(scn, m, batch))
     loss, grad, _, _ = ctx.evaluate(params, np.arange(len(batch)), ctx.interference(peers_w))
     return loss, grad
+
+
+# ---------------------------------------------------------------------------
+# Frozen batched objective: LossContext.evaluate and the kernels it called,
+# copied unchanged except that the power guard counts nothing and ``self`` is
+# the context argument.
+
+
+def _oracle_unpack(flat, cfg):
+    out = {}
+    offset = 0
+    for name, (fi, fo) in layer_dims(cfg).items():
+        w = flat[offset : offset + fi * fo].reshape(fi, fo)
+        offset += fi * fo
+        b = flat[offset : offset + fo]
+        offset += fo
+        out[name] = (w, b)
+    return out
+
+
+def _oracle_padded_reals(z, k_max):
+    bsz, n_t, k = z.shape
+    padded = np.zeros((bsz, n_t, k_max), dtype=np.complex128)
+    padded[:, :, :k] = z
+    return padded.view(np.float64).reshape(bsz, n_t * k_max * 2)
+
+
+def _oracle_reshape_to_beams(y, cfg, k_m):
+    return y.view(np.complex128).reshape(y.shape[0], cfg.n_t, cfg.k_max)[:, :, :k_m]
+
+
+def _oracle_mlp_forward(p, xc, xs):
+    zc = xc @ p["comm"][0] + p["comm"][1]
+    zs = xs @ p["sens"][0] + p["sens"][1]
+    af = np.concatenate([np.maximum(zc, 0.0), np.maximum(zs, 0.0)], axis=1)
+    zf = af @ p["fusion"][0] + p["fusion"][1]
+    f = np.maximum(zf, 0.0)
+    y = f @ p["out"][0] + p["out"][1]
+    return y, (xc, xs, zc, zs, af, zf, f)
+
+
+def _oracle_mlp_backward(p, cache, g_y, cfg, out=None):
+    xc, xs, zc, zs, af, zf, f = cache
+    hidden = cfg.hidden
+    grad = np.empty(param_count(cfg)) if out is None else out
+    g = _oracle_unpack(grad, cfg)
+    np.matmul(f.T, g_y, out=g["out"][0])
+    np.sum(g_y, axis=0, out=g["out"][1])
+    g_f = g_y @ p["out"][0].T
+    g_zf = g_f * (zf > 0.0)
+    np.matmul(af.T, g_zf, out=g["fusion"][0])
+    np.sum(g_zf, axis=0, out=g["fusion"][1])
+    g_af = g_zf @ p["fusion"][0].T
+    g_zc = g_af[:, :hidden] * (zc > 0.0)
+    g_zs = g_af[:, hidden:] * (zs > 0.0)
+    np.matmul(xc.T, g_zc, out=g["comm"][0])
+    np.sum(g_zc, axis=0, out=g["comm"][1])
+    np.matmul(xs.T, g_zs, out=g["sens"][0])
+    np.sum(g_zs, axis=0, out=g["sens"][1])
+    return grad
+
+
+def _oracle_project_batch(w_raw, p_t):
+    norms = np.linalg.norm(w_raw, axis=(1, 2))
+    positive = norms > 0.0
+    scale = np.zeros_like(norms)
+    scale[positive] = np.sqrt(p_t) / norms[positive]
+    w = w_raw * scale[:, None, None]
+    sq = np.sum(w.real**2 + w.imag**2, axis=(1, 2))
+    assert np.all(sq <= p_t + 1e-9)
+    return w, norms, scale
+
+
+def oracle_evaluate(ctx: LossContext, params, idx, interference, want_grad=True, out=None):
+    """(loss, grad, comm_rates, radar_rates) of ``ctx.evaluate`` as first written, unsplit and untrimmed."""
+    idx = np.asarray(idx)
+    if idx.size == 0:
+        raise ValueError("empty batch")
+    cfg, scn, k_m = ctx.cfg, ctx.scn, ctx.k_m
+    bsz = idx.size
+    rho = scn.rho_per_cell[ctx.m]
+    cross_c, den_s = (term[idx] for term in interference)
+
+    p = _oracle_unpack(params, cfg)
+    y, cache = _oracle_mlp_forward(p, ctx.xc[idx], ctx.xs[idx])
+    w_raw = _oracle_reshape_to_beams(y, cfg, k_m)
+    w, norms, scale = _oracle_project_batch(w_raw, scn.p_t)
+
+    h = ctx.h[idx]
+    s_c = np.einsum("bkn,bnj->bkj", h.conj(), w)  # (B, k_m, k_m)
+    p_c = s_c.real**2 + s_c.imag**2
+    diag = np.arange(k_m)
+    num = p_c[:, diag, diag]
+    den = p_c.sum(axis=2) - num + cross_c + scn.sigma_c_sq
+    gamma_c = num / den
+    r_c = np.log1p(gamma_c).sum(axis=1) / _LN2  # (B,)
+
+    u = ctx.u[idx]
+    s_r = np.einsum("bn,bnj->bj", u.conj(), w)  # (B, k_m)
+    p_num = np.sum(s_r.real**2 + s_r.imag**2, axis=1)
+    gamma_s = scn.n_r * p_num / den_s
+    r_s = np.log1p(gamma_s) / _LN2  # (B,)
+
+    loss = float(-np.mean(rho * r_c + (1.0 - rho) * r_s))
+    if not want_grad:
+        return loss, None, r_c, r_s
+
+    d_rc = -rho / bsz
+    d_rs = -(1.0 - rho) / bsz
+    d_gamma_c = d_rc / ((1.0 + gamma_c) * _LN2)     # (B, k_m)
+    d_num = d_gamma_c / den
+    d_den = -d_gamma_c * gamma_c / den
+    gp = np.repeat(d_den[:, :, None], k_m, axis=2)
+    gp[:, diag, diag] = d_num
+    s_hat_c = 2.0 * gp * s_c
+    g_w = np.einsum("bkn,bkj->bnj", h, s_hat_c)
+
+    d_gamma_s = d_rs / ((1.0 + gamma_s) * _LN2)     # (B,)
+    d_pnum = d_gamma_s * scn.n_r / den_s
+    s_hat_r = 2.0 * d_pnum[:, None] * s_r
+    g_w += np.einsum("bn,bj->bnj", u, s_hat_r)
+
+    t_inner = np.sum(g_w.real * w_raw.real + g_w.imag * w_raw.imag, axis=(1, 2))
+    positive = norms > 0.0
+    coef = np.zeros_like(norms)
+    coef[positive] = np.sqrt(scn.p_t) * t_inner[positive] / norms[positive] ** 3
+    g_raw = scale[:, None, None] * g_w - coef[:, None, None] * w_raw
+
+    grad = _oracle_mlp_backward(p, cache, _oracle_padded_reals(g_raw, cfg.k_max), cfg, out)
+    return loss, grad, r_c, r_s

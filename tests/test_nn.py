@@ -30,6 +30,7 @@ from isacfl.nn import (
     load_adam,
     load_params,
     param_count,
+    power_checks_performed,
     save_adam,
     save_params,
     sens_channel,
@@ -41,8 +42,8 @@ from isacfl.nn import (
     _project_batch,
     _reshape_to_beams,
 )
-from isacfl.datagen import BsDataset, build_scenario, generate_bs_dataset
-from oracles import dataset_from_samples, loss_and_grad, make_sample, oracle_comm_sinr, oracle_radar_sinr
+from isacfl.datagen import SCENARIO_VARIANTS, BsDataset, build_scenario, generate_bs_dataset
+from oracles import dataset_from_samples, loss_and_grad, make_sample, oracle_comm_sinr, oracle_evaluate, oracle_radar_sinr
 
 TINY_SCN = Scenario(n_cells=2, n_t=3, n_r=3, k_per_cell=(2, 2), rho_per_cell=(0.4, 0.7))
 TINY_CFG = NetConfig(n_t=3, k_max=2, hidden=4)
@@ -163,6 +164,27 @@ class TestProjection:
         w = np.ones((1, 2, 2), dtype=complex)
         with pytest.raises(PowerConstraintError):
             check_power(w, 1.0)
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.nan, np.nan)])
+    def test_check_power_refuses_one_nan_beamformer(self, bad):
+        gen = np.random.default_rng(3)
+        w = gen.standard_normal((6, 3, 2)) + 1j * gen.standard_normal((6, 3, 2))
+        w, _, _ = _project_batch(w, 1.0)
+        check_power(w, 1.0)  # the valid batch passes
+        w[4, 1, 0] = bad
+        with pytest.raises(PowerConstraintError):
+            check_power(w, 1.0)
+
+    @pytest.mark.parametrize("bsz", [1, 7, 64])
+    def test_each_projection_is_one_power_check(self, bsz):
+        gen = np.random.default_rng(bsz)
+        w = gen.standard_normal((bsz, 4, 3)) + 1j * gen.standard_normal((bsz, 4, 3))
+        w[0] = 0.0
+        before = power_checks_performed()
+        _project_batch(w, 1.0)
+        assert power_checks_performed() == before + 1
+        _project_batch(w, 2.0)
+        assert power_checks_performed() == before + 2
 
 
 def grad_mismatch(grad, fd, rtol=1e-4, atol=1e-8):
@@ -448,6 +470,41 @@ class TestReferenceRates:
                 np.testing.assert_allclose(r_s[s], metrics.radar_rate(THREE_SCN, cells, w, m), rtol=1e-12)
                 utilities.append(metrics.bs_utility(THREE_SCN, cells, w, m))
             np.testing.assert_allclose(loss, -np.mean(utilities), rtol=1e-12)
+
+
+class TestFrozenObjective:
+    """``evaluate`` gives the bytes of the frozen unsplit objective (``oracles.oracle_evaluate``)."""
+
+    N = 70
+
+    @pytest.mark.parametrize("variant", SCENARIO_VARIANTS)
+    @pytest.mark.parametrize("n_t, hidden", [(4, 32), (8, 256)], ids=["desk", "full"])
+    @pytest.mark.parametrize("p_t", [1.0, 2.0])  # sqrt(2) is inexact, so reordered products show
+    def test_bytes_match_frozen_oracle(self, variant, n_t, hidden, p_t):
+        scn = build_scenario(variant, n_t=n_t, n_r=n_t, p_t=p_t)
+        cfg = NetConfig(n_t=n_t, k_max=max(scn.k_per_cell), hidden=hidden)
+        gen = np.random.default_rng(40)
+        pools = {
+            i: gen.standard_normal((5, n_t, k)) + 1j * gen.standard_normal((5, n_t, k))
+            for i, k in enumerate(scn.k_per_cell)
+        }
+        param_sets = {"init": init_params(cfg, RngStream(41)), "zero": np.zeros(param_count(cfg))}
+        for m in range(scn.n_cells):
+            ctx = LossContext(cfg, generate_bs_dataset(scn, m, self.N, seed=42))
+            interference = ctx.interference(pools)
+            for bsz in (64, 63, 7, 1):
+                idx = gen.permutation(self.N)[:bsz]
+                for name, params in param_sets.items():
+                    for want_grad in (True, False):
+                        got = ctx.evaluate(params, idx, interference, want_grad, np.empty(param_count(cfg)))
+                        want = oracle_evaluate(ctx, params, idx, interference, want_grad, np.empty(param_count(cfg)))
+                        case = f"cell {m}, batch {bsz}, {name} params, want_grad {want_grad}"
+                        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes(), f"loss differs: {case}"
+                        assert (got[1] is None) == (want[1] is None), case
+                        if want_grad:
+                            assert got[1].tobytes() == want[1].tobytes(), f"gradient differs: {case}"
+                        assert got[2].tobytes() == want[2].tobytes(), f"comm rates differ: {case}"
+                        assert got[3].tobytes() == want[3].tobytes(), f"radar rates differ: {case}"
 
 
 class TestBackwardBuffer:
